@@ -220,6 +220,8 @@ let sweep_speedup () =
     "cells_reference": %d,
     "cells_traj": %d,
     "cells_intervals": %d,
+    "certify_walks": %d,
+    "image_trajectories": %d,
     "cache_hits": %d,
     "cache_misses": %d,
     "worst_identical_vs_unreduced": true,
@@ -237,7 +239,8 @@ let sweep_speedup () =
     (float_of_int representatives /. float_of_int position_pairs)
     (representatives * 4 <= position_pairs)
     stats.W.Stats.covered stats.W.Stats.simulated stats.W.Stats.reference_cells
-    stats.W.Stats.traj_cells stats.W.Stats.interval_cells cache.Rv_sim.Traj_cache.hits
+    stats.W.Stats.traj_cells stats.W.Stats.interval_cells stats.W.Stats.certify_walks
+    stats.W.Stats.image_trajs cache.Rv_sim.Traj_cache.hits
     cache.Rv_sim.Traj_cache.misses unreduced_seconds
     cores cores multicore_skipped
     worst_t worst_c

@@ -321,10 +321,11 @@ let sweep_stats_report () =
   let lookups = c.Rv_sim.Traj_cache.hits + c.Rv_sim.Traj_cache.misses in
   let ratio = if lookups = 0 then 0. else float_of_int c.Rv_sim.Traj_cache.hits /. float_of_int lookups in
   Printf.sprintf
-    "symmetry %s (x%d coverage), %d configs covered / %d simulated \
+    "symmetry %s (x%d coverage), %d certification walks, %d image trajectories; \
+     %d configs covered / %d simulated \
      (reference %d, traj %d, interval %d); traj cache %d/%d hits (%.0f%%)"
-    s.WS.sym_group s.WS.orbit_size s.WS.covered s.WS.simulated
-    s.WS.reference_cells s.WS.traj_cells s.WS.interval_cells
+    s.WS.sym_group s.WS.orbit_size s.WS.certify_walks s.WS.image_trajs s.WS.covered
+    s.WS.simulated s.WS.reference_cells s.WS.traj_cells s.WS.interval_cells
     c.Rv_sim.Traj_cache.hits lookups (100. *. ratio)
 
 let sweep_cmd =
@@ -428,8 +429,9 @@ let sweep_cmd =
       & info [ "stats" ]
           ~doc:
             "Print sweep counters to stderr: tasks and worst-so-far, plus the \
-             symmetry coverage multiplier, per-kernel cell counts (reference \
-             / trajectory / interval) and the trajectory-cache hit ratio.")
+             symmetry coverage multiplier, certification walks and image \
+             trajectories, per-kernel cell counts (reference / trajectory / \
+             interval) and the trajectory-cache hit ratio.")
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Worst-case time/cost over starts, delays and labels")
@@ -590,8 +592,9 @@ let exp_cmd =
           ~doc:
             "Print sweep kernel counters to stderr after the tables: per-path \
              cell counts (reference / trajectory / interval), the symmetry \
-             coverage multiplier and the trajectory-cache hit ratio, summed \
-             over every sweep the selected experiments ran.")
+             coverage multiplier, certification walks and image trajectories, \
+             and the trajectory-cache hit ratio, summed over every sweep the \
+             selected experiments ran.")
   in
   Cmd.v (Cmd.info "exp" ~doc:"Print experiment tables from the DESIGN.md index")
     Term.(const exp $ ids $ all $ markdown $ stats $ jobs_arg $ metrics_arg)

@@ -109,6 +109,8 @@ module Stats = struct
     interval_cells : int;
     sym_group : string;
     orbit_size : int;
+    certify_walks : int;
+    image_trajs : int;
   }
 
   let covered = Atomic.make 0
@@ -123,6 +125,10 @@ module Stats = struct
 
   let orbit = Atomic.make 1
 
+  let certify_walks = Atomic.make 0
+
+  let image_trajs = Atomic.make 0
+
   let snapshot () =
     let reference_cells = Atomic.get reference_cells in
     let traj_cells = Atomic.get traj_cells in
@@ -135,6 +141,8 @@ module Stats = struct
       interval_cells;
       sym_group = Atomic.get sym_group;
       orbit_size = Atomic.get orbit;
+      certify_walks = Atomic.get certify_walks;
+      image_trajs = Atomic.get image_trajs;
     }
 
   let reset () =
@@ -143,34 +151,30 @@ module Stats = struct
     Atomic.set traj_cells 0;
     Atomic.set interval_cells 0;
     Atomic.set sym_group "off";
-    Atomic.set orbit 1
+    Atomic.set orbit 1;
+    Atomic.set certify_walks 0;
+    Atomic.set image_trajs 0
 end
 
 (* Per-task cell counts, flushed to the process-wide atomics once per
    task — the hot loop never touches shared state. *)
 type tally = { mutable ref_c : int; mutable traj_c : int; mutable intv_c : int }
 
+(* Image trajectories are derived inside Traj_cache.get, below any
+   task's tally, so they are counted in the building domain's own cell
+   and moved out by that domain's next flush — a domain runs one task
+   at a time, so each flush carries exactly its task's images. *)
+let images_built = Domain.DLS.new_key (fun () -> ref 0)
+
 let flush_tally t =
   if t.ref_c > 0 then ignore (Atomic.fetch_and_add Stats.reference_cells t.ref_c);
   if t.traj_c > 0 then ignore (Atomic.fetch_and_add Stats.traj_cells t.traj_c);
-  if t.intv_c > 0 then ignore (Atomic.fetch_and_add Stats.interval_cells t.intv_c)
-
-(* Walk-family equivariance: two trajectories of the same label from
-   automorphism-related starts are images of each other iff they take
-   the same port sequence (by induction, port preservation then forces
-   [pos'(r) = phi (pos r)] — see DESIGN.md §3.6).  Integer arrays, no
-   polymorphic compare. *)
-let same_ports (t0 : Rv_sim.Traj.t) (t1 : Rv_sim.Traj.t) =
-  t0.Rv_sim.Traj.rounds = t1.Rv_sim.Traj.rounds
-  && t0.Rv_sim.Traj.first_move = t1.Rv_sim.Traj.first_move
-  &&
-  let ok = ref true and r = ref 0 in
-  let p0 = t0.Rv_sim.Traj.port and p1 = t1.Rv_sim.Traj.port in
-  while !ok && !r <= t0.Rv_sim.Traj.rounds do
-    if Array.unsafe_get p0 !r <> Array.unsafe_get p1 !r then ok := false;
-    incr r
-  done;
-  !ok
+  if t.intv_c > 0 then ignore (Atomic.fetch_and_add Stats.interval_cells t.intv_c);
+  let images = Domain.DLS.get images_built in
+  if !images > 0 then begin
+    ignore (Atomic.fetch_and_add Stats.image_trajs !images);
+    images := 0
+  end
 
 let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     ?graph_spec ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
@@ -198,17 +202,18 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     && Sys.getenv_opt "RV_NO_TRAJ" = None
     && not (Rv_obs.Obs.deep ())
   in
-  let build_traj ~label ~start =
+  let walk_obs = Rv_sim.Traj.observations g in
+  let blocks_of ~label ~start =
     let ex = explorer ~start in
-    let sched = R.schedule algorithm ~space ~label ~explorer:ex in
-    Rv_sim.Traj.of_blocks ~g ~start
-      (List.map
-         (function
-           | Rv_core.Schedule.Pause k -> Rv_sim.Traj.Still k
-           | Rv_core.Schedule.Explore e ->
-               Rv_sim.Traj.Run
-                 (e.Rv_explore.Explorer.fresh (), e.Rv_explore.Explorer.bound))
-         sched)
+    List.map
+      (function
+        | Rv_core.Schedule.Pause k -> Rv_sim.Traj.Still k
+        | Rv_core.Schedule.Explore e ->
+            Rv_sim.Traj.Run (e.Rv_explore.Explorer.fresh (), e.Rv_explore.Explorer.bound))
+      (R.schedule algorithm ~space ~label ~explorer:ex)
+  in
+  let build_traj ~label ~start =
+    Rv_sim.Traj.of_blocks ~obs:walk_obs ~g ~start (blocks_of ~label ~start)
   in
   (* --- symmetry reduction ---------------------------------------------
      Only the full ordered-pair space can be quotiented (Fixed_first is
@@ -218,7 +223,14 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
      equivariant label by label — an explorer like a global Hamiltonian
      walk follows node identities, not observations, and silently breaks
      orbit invariance, so certification failure falls back to the
-     unreduced sweep rather than trusting the graph alone. *)
+     unreduced sweep rather than trusting the graph alone.
+
+     Each label's walk is stepped once, from start 0, into a trajectory
+     cache whose build for any other start [c] is that walk's image under
+     the automorphism sending 0 to c (Traj.image) — exact once the label
+     is certified, which is what the streamed walks from every phi(0)
+     prove.  Start-0 walks live only in the cache, under its memory
+     budget; evicted ones are rebuilt on demand. *)
   let sym_wanted =
     sym
     && Sys.getenv_opt "RV_NO_SYM" = None
@@ -238,24 +250,38 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
         let labels =
           List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
         in
+        let rec sym_cache = lazy (Rv_sim.Traj_cache.create ~build ())
+        and build ~label ~start =
+          if start = 0 then build_traj ~label ~start
+          else begin
+            incr (Domain.DLS.get images_built);
+            Rv_sim.Traj.image (Sym.from_zero s start)
+              (Rv_sim.Traj_cache.get (Lazy.force sym_cache) ~label ~start:0)
+          end
+        in
+        let sym_cache = Lazy.force sym_cache in
         let autos = Sym.automorphisms s in
+        let walks = ref 0 in
         let certified =
           List.for_all
             (fun label ->
-              let t0 = build_traj ~label ~start:0 in
+              let t0 = Rv_sim.Traj_cache.get sym_cache ~label ~start:0 in
               let ok = ref true and i = ref 1 in
               while !ok && !i < Array.length autos do
-                if not (same_ports t0 (build_traj ~label ~start:autos.(!i).(0))) then
-                  ok := false;
+                let start = autos.(!i).(0) in
+                incr walks;
+                ok :=
+                  Rv_sim.Traj.same_ports walk_obs ~start (blocks_of ~label ~start) t0;
                 incr i
               done;
               !ok)
             labels
         in
+        ignore (Atomic.fetch_and_add Stats.certify_walks !walks);
         if certified then begin
           Atomic.set Stats.sym_group (Sym.group_name s);
           Atomic.set Stats.orbit (Sym.orbit_size s);
-          Some s
+          Some (s, sym_cache)
         end
         else begin
           Atomic.set Stats.sym_group (Sym.group_name s ^ "/uncertified");
@@ -361,7 +387,10 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
       expand;
   let cache =
     if not use_fast then None
-    else Some (Rv_sim.Traj_cache.create ~build:build_traj ())
+    else
+      match symq with
+      | Some (_, sym_cache) -> Some sym_cache
+      | None -> Some (Rv_sim.Traj_cache.create ~build:build_traj ())
   in
   (* Simulate one configuration; returns the outcome fields the sweep
      consumes.  All paths agree exactly (property-tested in
@@ -508,7 +537,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
       merge
         (Engine_sweep.map_array ?pool ~chunk:1 (Array.length pair_arr) (fun i ->
              run_pair pair_arr.(i)))
-  | Some s ->
+  | Some (s, _) ->
       (* Orbit-reduced sweep: simulate only the canonical representatives
          (0, c) — 1/orbit of the pair space — then replay the full space
          through the representative table.  Representative cells are
@@ -517,13 +546,22 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
          invisible in the output, which stops at the failure exactly like
          the unreduced stream), and split into deterministic subtasks so
          the pool balances inside a pair (Sweep.map_nested: the subtask
-         space depends only on the cell counts, never on the pool). *)
+         space depends only on the cell counts, never on the pool).
+
+         With no sink, and every representative met, nothing observes the
+         stream itself: each configuration's outcome is a table entry and
+         each entry is some configuration's (every (0, c) is in the space),
+         so the worst cell is the table's, coverage is the full count, and
+         Progress — which only keeps maxima, ticked once per pair — sees
+         the same values folded straight from the table.  A failing pair
+         still replays, so its message names the actual first failure. *)
       let reps = n - 1 in
       let nd = Array.length delay_arr in
       let chunks_per_pair = min 8 reps in
       let base = reps / chunks_per_pair and extra = reps mod chunks_per_pair in
       let chunk_lo j = (j * base) + min j extra in
       let counts = Array.make (Array.length pair_arr) chunks_per_pair in
+      let configs_per_pair = List.length expand * nd in
       let run_chunk o j =
         let la, lb = pair_arr.(o) in
         if obs then
@@ -550,13 +588,33 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
            (fun o per_chunk ->
              let la, lb = pair_arr.(o) in
              let table = Array.concat (Array.to_list per_chunk) in
-             (* table.((c - 1) * nd + d) is the outcome of representative
-                (0, c) under delay d; canon_pair maps any (pa, pb) to its
-                representative in O(1). *)
+             let all_met =
+               Array.for_all (fun (meeting_round, _, _) -> Option.is_some meeting_round)
+                 table
+             in
              let r =
-               replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d ~da:_ ~db:_ ->
-                   let _, c = Sym.canon_pair s pa pb in
-                   table.(((c - 1) * nd) + d))
+               if Option.is_none sink && all_met then begin
+                 let worst_t = ref 0 and worst_c = ref 0 in
+                 Array.iter
+                   (fun (meeting_round, cost, _) ->
+                     worst_t := max !worst_t (Option.value meeting_round ~default:0);
+                     worst_c := max !worst_c cost)
+                   table;
+                 Option.iter
+                   (fun p ->
+                     Progress.observe p ~time:!worst_t ~cost:!worst_c;
+                     Progress.tick p)
+                   progress;
+                 ignore (Atomic.fetch_and_add Stats.covered configs_per_pair);
+                 (Ok (!worst_t, !worst_c), [])
+               end
+               else
+                 (* table.((c - 1) * nd + d) is the outcome of representative
+                    (0, c) under delay d; canon_pair maps any (pa, pb) to its
+                    representative in O(1). *)
+                 replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d ~da:_ ~db:_ ->
+                     let _, c = Sym.canon_pair s pa pb in
+                     table.(((c - 1) * nd) + d))
              in
              if obs then Rv_obs.Counter.count "workload.pairs" 1;
              r)

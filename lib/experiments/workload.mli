@@ -36,12 +36,20 @@ module Stats : sig
             found, walk family failed certification), or ["order-<k>"]
             (reduction active) *)
     orbit_size : int;  (** coverage multiplier; 1 unless reduction ran *)
+    certify_walks : int;
+        (** walks stepped from [phi(0)] to certify equivariance
+            ({!Rv_sim.Traj.same_ports}), one per label and nonidentity
+            automorphism until the first failure *)
+    image_trajs : int;
+        (** trajectories derived as automorphic images of a start-0 walk
+            ({!Rv_sim.Traj.image}) instead of being stepped *)
   }
 
   val snapshot : unit -> snapshot
-  (** Process-wide counts since start or the last {!reset} (cell
-      counters accumulate across sweeps; the sym fields describe the
-      most recent {!worst_for} call). *)
+  (** Process-wide counts since start or the last {!reset} (cell,
+      certification and image counters accumulate across sweeps;
+      [sym_group] and [orbit_size] describe the most recent {!worst_for}
+      call). *)
 
   val reset : unit -> unit
 end
@@ -82,16 +90,23 @@ val worst_for :
     [true] (the default) and the [RV_NO_SYM] environment variable is
     unset, the sweep detects the graph's port-preserving automorphism
     group ({!Rv_graph.Symmetry}), certifies that every label's walk is
-    equivariant under it (port-sequence comparison per automorphism —
-    explorers that follow node identities rather than observations fail
-    here and fall back to the unreduced sweep), and then evaluates only
-    the canonical representative [(0, c)] of each position-pair orbit —
+    equivariant under it (the walk from each [phi(0)] is streamed against
+    the label's walk from 0, port by port — explorers that follow node
+    identities rather than observations fail here and fall back to the
+    unreduced sweep), and then evaluates only the canonical
+    representative [(0, c)] of each position-pair orbit —
     [1/orbit_size] of the space — replaying the full configuration
-    stream through the representative table.  The output — worst cell
-    and every sink byte — is identical to the unreduced sweep (CI
-    byte-compares against [RV_NO_SYM=1]); the only observable difference
-    is eagerness: a failing pair's representatives are all evaluated
-    even though the replayed stream stops at the failure.
+    stream through the representative table.  Each label's walk is
+    stepped once, from start 0; the walk from [c] is its image under the
+    automorphism sending 0 to [c] ({!Rv_sim.Traj.image}), both held by
+    the trajectory cache under its memory budget.  Without a [sink],
+    and when every representative met, the worst cell, [progress] and
+    {!Stats} coverage are folded straight from the table instead.  The
+    output — worst cell and every sink byte — is identical to the
+    unreduced sweep (CI byte-compares against [RV_NO_SYM=1]); the only
+    observable difference is eagerness: a failing pair's
+    representatives are all evaluated even though the replayed stream
+    stops at the failure.
     [`Fixed_first] is never reduced — under a free transitive action it
     is already an orbit transversal of the [(0, i)] pairs.
 

@@ -8,6 +8,9 @@ type t = {
       (* to_zero.(a) = index into autos of the unique phi with phi.(a) = 0;
          fully populated only when the group is transitive (it is the
          inverse permutation of the map i -> autos.(i).(0)). *)
+  of_zero : int array;
+      (* of_zero.(c) = index into autos of the unique phi with phi.(0) = c;
+         populated under the same condition. *)
 }
 
 let check_witness g phi =
@@ -109,13 +112,14 @@ let detect g =
   let autos = Array.of_list (identity :: others) in
   let order = Array.length autos in
   let transitive = order = n in
-  let to_zero = Array.make n (-1) in
+  let to_zero = Array.make n (-1) and of_zero = Array.make n (-1) in
   Array.iteri
     (fun i phi ->
       (* phi maps phi^-1(0) to 0; record the index under that source. *)
-      Array.iteri (fun a v -> if v = 0 then to_zero.(a) <- i) phi)
+      Array.iteri (fun a v -> if v = 0 then to_zero.(a) <- i) phi;
+      of_zero.(phi.(0)) <- i)
     autos;
-  { autos; order; transitive; to_zero }
+  { autos; order; transitive; to_zero; of_zero }
 
 let order t = t.order
 
@@ -133,5 +137,7 @@ let automorphisms t = t.autos
 let canon_pair t a b =
   let phi = t.autos.(t.to_zero.(a)) in
   (0, phi.(b))
+
+let from_zero t c = t.autos.(t.of_zero.(c))
 
 let orbit_size t = t.order

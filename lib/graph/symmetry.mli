@@ -91,6 +91,11 @@ val canon_pair : t -> int -> int -> int * int
     all-pairs enumeration order the representative is always visited
     before any other member of its orbit.  O(1): two array reads. *)
 
+val from_zero : t -> int -> int array
+(** [from_zero t c] (requires [reducible t]) is the unique automorphism
+    [phi] with [phi.(0) = c] — the counterpart of the one {!canon_pair}
+    applies, which sends a node to 0.  O(1); do not mutate. *)
+
 val orbit_size : t -> int
 (** Size of every position-pair orbit under a reducible group: exactly
     [order t] (free action).  The sweep multiplies coverage counts back

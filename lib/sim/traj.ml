@@ -43,19 +43,72 @@ let of_schedule ~g ~start ~rounds step =
 
 type block = Still of int | Run of Ex.instance * int
 
-let of_blocks ~g ~start blocks =
-  let rounds =
-    List.fold_left
-      (fun acc b ->
-        let k = match b with Still k -> k | Run (_, k) -> k in
-        if k < 0 then invalid_arg "Traj.of_blocks: negative block length";
-        acc + k)
-      0 blocks
+(* Observations are immutable, so no walker allocates one per round:
+   every (node, entry port) view an agent can have is built once per
+   graph.  [tbl.(u).(0)] is what an agent sees at [u] on a fresh step or
+   after a wait; [tbl.(u).(q + 1)] after entering [u] through port [q]. *)
+type observations = { graph : Pg.t; tbl : Ex.observation array array }
+
+let observations g =
+  {
+    graph = g;
+    tbl =
+      Array.init (Pg.n g) (fun u ->
+          let degree = Pg.degree g u in
+          Array.init (degree + 1) (fun e ->
+              { Ex.degree; entry = (if e = 0 then None else Some (e - 1)) }));
+  }
+
+(* Walker state: the agent's node, the port it entered through ([-1]
+   after a wait, or before its first move), and the port it took in the
+   last round ([-1]: it waited). *)
+type cursor = { mutable node : int; mutable entry : int; mutable taken : int }
+
+let cursor start = { node = start; entry = -1; taken = -1 }
+
+let invalid_port u p degree =
+  invalid_arg
+    (Printf.sprintf "Traj.of_blocks: agent chose invalid port %d at node %d (degree %d)"
+       p u degree)
+
+(* One active round: observe, choose, validate, follow.  Every block
+   walker steps through here, so they cannot drift apart. *)
+let[@inline] advance obs step c =
+  let u = c.node in
+  let row = obs.tbl.(u) in
+  match step row.(c.entry + 1) with
+  | Ex.Wait ->
+      c.entry <- -1;
+      c.taken <- -1
+  | Ex.Move p ->
+      let degree = Array.length row - 1 in
+      if p < 0 || p >= degree then invalid_port u p degree;
+      let v, q = Pg.follow obs.graph u p in
+      c.node <- v;
+      c.entry <- q;
+      c.taken <- p
+
+let block_rounds blocks =
+  List.fold_left
+    (fun acc b ->
+      let k = match b with Still k -> k | Run (_, k) -> k in
+      if k < 0 then invalid_arg "Traj.of_blocks: negative block length";
+      acc + k)
+    0 blocks
+
+let of_blocks ?obs ~g ~start blocks =
+  let obs =
+    match obs with
+    | None -> observations g
+    | Some o ->
+        if o.graph != g then invalid_arg "Traj.of_blocks: observations of another graph";
+        o
   in
+  let rounds = block_rounds blocks in
   let pos = Array.make (rounds + 1) start in
   let port = Array.make (rounds + 1) (-1) in
   let moves = Array.make (rounds + 1) 0 in
-  let entry = ref None in
+  let c = cursor start in
   let first_move = ref (rounds + 1) in
   let r = ref 0 in
   List.iter
@@ -69,33 +122,54 @@ let of_blocks ~g ~start blocks =
           let u = pos.(!r) and m = moves.(!r) in
           if u <> start then Array.fill pos (!r + 1) k u;
           if m <> 0 then Array.fill moves (!r + 1) k m;
-          if k > 0 then entry := None;
+          if k > 0 then c.entry <- -1;
           r := !r + k
       | Run (step, k) ->
           for _ = 1 to k do
             incr r;
-            let u = pos.(!r - 1) in
-            let obs = { Ex.degree = Pg.degree g u; entry = !entry } in
-            match step obs with
-            | Ex.Wait ->
-                entry := None;
-                pos.(!r) <- u;
-                moves.(!r) <- moves.(!r - 1)
-            | Ex.Move p ->
-                if p < 0 || p >= obs.Ex.degree then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Traj.of_blocks: agent chose invalid port %d at node %d (degree %d)"
-                       p u obs.Ex.degree);
-                let v, q = Pg.follow g u p in
-                entry := Some q;
-                if !first_move > rounds then first_move := !r;
-                pos.(!r) <- v;
-                port.(!r) <- p;
-                moves.(!r) <- moves.(!r - 1) + 1
+            advance obs step c;
+            pos.(!r) <- c.node;
+            if c.taken < 0 then moves.(!r) <- moves.(!r - 1)
+            else begin
+              if !first_move > rounds then first_move := !r;
+              port.(!r) <- c.taken;
+              moves.(!r) <- moves.(!r - 1) + 1
+            end
           done)
     blocks;
   { start; rounds; first_move = !first_move; pos; port; moves }
+
+let same_ports obs ~start blocks t =
+  block_rounds blocks = t.rounds
+  &&
+  let c = cursor start in
+  let port = t.port and moves = t.moves in
+  let r = ref 0 in
+  List.for_all
+    (function
+      | Still k ->
+          (* [t] waits through these rounds too iff its cost is flat. *)
+          if k > 0 then c.entry <- -1;
+          let r0 = !r in
+          r := r0 + k;
+          moves.(r0 + k) = moves.(r0)
+      | Run (step, k) ->
+          let stop = !r + k and ok = ref true in
+          while !ok && !r < stop do
+            incr r;
+            advance obs step c;
+            if c.taken <> port.(!r) then ok := false
+          done;
+          !ok)
+    blocks
+
+let image phi t =
+  let src = t.pos in
+  let pos = Array.make (t.rounds + 1) 0 in
+  for r = 0 to t.rounds do
+    pos.(r) <- phi.(src.(r))
+  done;
+  { t with start = phi.(t.start); pos }
 
 let clamp t r = if r < 0 then 0 else if r > t.rounds then t.rounds else r
 

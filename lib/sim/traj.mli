@@ -61,7 +61,16 @@ type block =
   | Run of Rv_explore.Explorer.instance * int
       (** step this instance for that many rounds *)
 
-val of_blocks : g:Rv_graph.Port_graph.t -> start:int -> block list -> t
+type observations
+(** Every observation an agent can make on one graph — each node's
+    degree with each possible entry port — built once, so the block
+    walkers below allocate nothing per round ({!Rv_explore.Explorer.observation}
+    is immutable and can be shared). *)
+
+val observations : Rv_graph.Port_graph.t -> observations
+
+val of_blocks :
+  ?obs:observations -> g:Rv_graph.Port_graph.t -> start:int -> block list -> t
 (** Block-structured constructor, equivalent to {!of_schedule} on the
     concatenated rounds but much cheaper when the schedule's shape is
     known: a [Still] block is materialized with [Array.fill] (no
@@ -69,7 +78,35 @@ val of_blocks : g:Rv_graph.Port_graph.t -> start:int -> block list -> t
     rendezvous schedules costs nothing at all, because the arrays are
     already initialized to the resting state).  [Run] blocks step their
     instance exactly like {!of_schedule}.  This is what the sweep fast
-    path feeds {!Rv_core.Schedule.t} steps into. *)
+    path feeds {!Rv_core.Schedule.t} steps into.  [obs] (built from [g]
+    itself, else [Invalid_argument]) shares one observation table across
+    builds; without it each call builds its own. *)
+
+val same_ports : observations -> start:int -> block list -> t -> bool
+(** [same_ports obs ~start blocks t] is [true] iff [of_blocks ~start
+    blocks] on [obs]'s graph would take port [t.port.(r)] in every
+    round [r], computed without materializing that walk: the
+    round counts are compared first, the blocks are then stepped from
+    [start] and the first differing port ends the walk, and a [Still]
+    block is checked in O(1) as [t] waiting through it
+    ([t.moves] flat).  No allocation per round.  Steps agents through
+    the same per-round code as {!of_blocks}, so an invalid port raises
+    the same [Invalid_argument].
+
+    This is the equivariance check of a symmetry-reduced sweep: if
+    [phi] is a port-preserving automorphism ({!Rv_graph.Symmetry}),
+    [t] was built from start [0] and [same_ports obs ~start:(phi 0)
+    blocks' t] holds for the same label's blocks [blocks'] from
+    [phi 0], then that walk is exactly [image phi t]. *)
+
+val image : int array -> t -> t
+(** [image phi t] is [t] with every position mapped through [phi] (and
+    [start] with it); the [port] and [moves] arrays are shared, not
+    copied.  When [phi] is a port-preserving automorphism and the walk
+    from [phi t.start] takes [t]'s ports ({!same_ports}), this is
+    field-for-field what {!of_blocks} builds from [phi t.start]: equal
+    ports through [phi] force [pos' = phi ∘ pos] by induction, with the
+    same [moves].  The caller owns that precondition. *)
 
 val pos_at : t -> int -> int
 (** [pos_at t r] is the node after [r] of the agent's own rounds,

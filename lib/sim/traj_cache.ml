@@ -98,5 +98,7 @@ let get ctx ~label ~start =
               "traj.build"
               (fun () -> ctx.build ~label ~start)
           in
+          (* [build] may have called [get] and rotated the generations;
+             add_current reads [slot.cur] afresh. *)
           add_current ctx slot key t;
           t)

@@ -31,10 +31,19 @@ val create :
 (** A new cache generation around [build].  [build] must be pure and
     safe to call from any domain (it only reads immutable inputs).
     [budget_rounds] (default 2_000_000, ~50 MB per domain) caps the
-    retained rounds per generation; clamped to at least 1. *)
+    retained rounds per generation; clamped to at least 1.
+
+    [build] may itself call {!get} on the context it belongs to, for a
+    different key — a symmetry-reduced sweep derives the walk from start
+    [c] as the image of the cached walk from start [0].  The inner
+    lookup counts as a hit or miss of its own and may rotate the
+    generations; the outer entry is then inserted into whichever
+    generation is current.  Calling {!get} on a {e different} context
+    from inside [build] is not supported. *)
 
 val get : ctx -> label:int -> start:int -> Traj.t
-(** Memoized [build ~label ~start] in the calling domain's table. *)
+(** Memoized [build ~label ~start] in the calling domain's table.
+    Re-entrant from [build] (see {!create}). *)
 
 type stats = { hits : int; misses : int }
 (** Process-wide lookup accounting across all generations and domains.

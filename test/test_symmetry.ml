@@ -124,28 +124,8 @@ let test_canon_pair_properties () =
    equality, which pins every outcome field and the stream order) and
    return the same worst cell — across families, algorithms and seeded
    delay draws.  [sym:false] runs the identical code with the quotient
-   disabled, standing in for RV_NO_SYM=1. *)
-let reduced_families () =
-  [
-    ( "ring:8",
-      Rv_graph.Ring.oriented 8,
-      fun ~start ->
-        ignore start;
-        Rv_explore.Ring_walk.clockwise ~n:8 );
-    ( "torus:3x4",
-      Rv_graph.Torus.make ~rows:3 ~cols:4,
-      let torus = Rv_graph.Torus.make ~rows:3 ~cols:4 in
-      fun ~start -> Rv_explore.Euler_walk.closed torus ~start );
-    ( "hypercube:3",
-      Rv_graph.Hypercube.make ~dim:3,
-      let cube = Rv_graph.Hypercube.make ~dim:3 in
-      fun ~start -> Rv_explore.Map_dfs.returning cube ~start );
-    ( "circulant:6",
-      Rv_graph.Complete_graph.circulant 6,
-      let k = Rv_graph.Complete_graph.circulant 6 in
-      fun ~start -> Rv_explore.Map_dfs.returning k ~start );
-  ]
-
+   disabled, standing in for RV_NO_SYM=1.  The families are
+   Sym_families.reduced. *)
 let run_sweep ~sym ~g ~explorer ~algorithm ~space ~pairs ~delays =
   let sink = Rv_engine.Sink.memory () in
   let result =
@@ -153,6 +133,20 @@ let run_sweep ~sym ~g ~explorer ~algorithm ~space ~pairs ~delays =
       ~positions:`All_pairs ~delays ~sink ()
   in
   (result, Rv_engine.Sink.records sink)
+
+(* The same sweep with no sink attached but a Progress.t: the worst
+   cell, the progress counters and Stats.covered. *)
+let run_sinkless ~sym ~g ~explorer ~algorithm ~space ~pairs ~delays =
+  let progress = Rv_engine.Progress.create ~total:(List.length pairs) () in
+  W.Stats.reset ();
+  let result =
+    W.worst_for ~sym ~progress ~g ~algorithm ~space ~explorer ~pairs
+      ~positions:`All_pairs ~delays ()
+  in
+  let st = W.Stats.snapshot () in
+  if sym then
+    Alcotest.(check bool) "sink-less reduction engaged" true (st.W.Stats.orbit_size > 1);
+  (result, progress, st.W.Stats.covered)
 
 let test_reduced_matches_unreduced () =
   let rng = Rng.create ~seed:0x53b1 in
@@ -192,10 +186,60 @@ let test_reduced_matches_unreduced () =
             Alcotest.(check bool)
               (id ^ " reduction engaged")
               true
-              (reduced_stats.W.Stats.orbit_size > 1)
+              (reduced_stats.W.Stats.orbit_size > 1);
+            (* Without a sink the reduced sweep folds the table instead of
+               replaying it: same worst cell, coverage and progress. *)
+            let sr, pr, cr =
+              run_sinkless ~sym:true ~g ~explorer ~algorithm ~space ~pairs ~delays
+            in
+            let su, pu, cu =
+              run_sinkless ~sym:false ~g ~explorer ~algorithm ~space ~pairs ~delays
+            in
+            let worst = Alcotest.(result (pair int int) string) in
+            Alcotest.check worst (id ^ " sink-less same worst") su sr;
+            Alcotest.check worst (id ^ " sink-less = sunk") rr sr;
+            Alcotest.(check int) (id ^ " sink-less covered") cu cr;
+            Alcotest.(check int)
+              (id ^ " covered = records") (List.length recu) cr;
+            Alcotest.(check int)
+              (id ^ " progress worst time")
+              (Rv_engine.Progress.worst_time pu)
+              (Rv_engine.Progress.worst_time pr);
+            Alcotest.(check int)
+              (id ^ " progress worst cost")
+              (Rv_engine.Progress.worst_cost pu)
+              (Rv_engine.Progress.worst_cost pr);
+            Alcotest.(check int)
+              (id ^ " progress completed")
+              (Rv_engine.Progress.completed pu)
+              (Rv_engine.Progress.completed pr)
           done)
         [ R.Cheap; R.Fast; R.Fwr 2 ])
-    (reduced_families ())
+    (Sym_families.reduced ())
+
+(* A pair that fails: Cheap_simultaneous is not delay-tolerant, and the
+   (7,0) delay misses from starts 0/1.  The reduced sweep must report the
+   first failure of the unreduced stream, with its actual starts — so
+   without a sink it may not fold the table, and must replay. *)
+let test_failure_replays () =
+  let g = Rv_graph.Ring.oriented 8 in
+  let explorer ~start:_ = Rv_explore.Ring_walk.clockwise ~n:8 in
+  let expected =
+    Error "cheap-sim: no rendezvous (labels 1/2, starts 0/1, delays 7/0)"
+  in
+  List.iter
+    (fun (sym, sunk) ->
+      let sink = if sunk then Some (Rv_engine.Sink.memory ()) else None in
+      let r =
+        W.worst_for ~sym ?sink ~g ~algorithm:R.Cheap_simultaneous ~space:8 ~explorer
+          ~pairs:[ (1, 2); (2, 3) ]
+          ~positions:`All_pairs
+          ~delays:[ (0, 0); (7, 0) ]
+          ()
+      in
+      let id = Printf.sprintf "sym %b sink %b" sym sunk in
+      Alcotest.(check (result (pair int int) string)) id expected r)
+    [ (true, false); (true, true); (false, false); (false, true) ]
 
 let test_unreducible_families_report_none () =
   (* Tree and random graphs have no usable group: the sweep must fall
@@ -218,6 +262,48 @@ let test_unreducible_families_report_none () =
       ("tree (path:6)", Rv_graph.Tree.path 6);
       ("random:8:4", Rv_graph.Random_graph.connected (Rng.create ~seed:3) ~n:8 ~extra_edges:4);
     ]
+
+(* ------------------------------------------------- cache re-entrancy *)
+
+(* The reduced sweep's cache builds the walk from start c as the image of
+   the cached walk from 0 — a build that calls [get] on its own context.
+   With a budget this small every insert rotates the generations, so the
+   inner lookup rotates under the outer one. *)
+let test_cache_reentrant_build () =
+  let g = Rv_graph.Ring.oriented 6 in
+  let s = Sym.detect g in
+  let step _ = Rv_explore.Explorer.Move 0 in
+  let walk ~start = Rv_sim.Traj.of_blocks ~g ~start [ Rv_sim.Traj.Run (step, 3) ] in
+  let builds = ref 0 in
+  let rec ctx = lazy (Rv_sim.Traj_cache.create ~budget_rounds:1 ~build ())
+  and build ~label ~start =
+    incr builds;
+    if start = 0 then walk ~start
+    else
+      Rv_sim.Traj.image (Sym.from_zero s start)
+        (Rv_sim.Traj_cache.get (Lazy.force ctx) ~label ~start:0)
+  in
+  let ctx = Lazy.force ctx in
+  Rv_sim.Traj_cache.reset_stats ();
+  let check_walk id start (t : Rv_sim.Traj.t) =
+    let w = walk ~start in
+    Alcotest.(check (array int)) (id ^ " pos") w.Rv_sim.Traj.pos t.Rv_sim.Traj.pos;
+    Alcotest.(check (array int)) (id ^ " port") w.Rv_sim.Traj.port t.Rv_sim.Traj.port;
+    Alcotest.(check int) (id ^ " start") start t.Rv_sim.Traj.start
+  in
+  (* Every insert rotates: the generation it lands in becomes the
+     previous one, so a key survives exactly until the next insert. *)
+  check_walk "start-0 walk" 0 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:0);
+  (* Miss; its build looks up (1,0), a second-chance hit that is promoted
+     and rotates; the outer insert then lands in the fresh generation. *)
+  check_walk "first image" 2 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:2);
+  check_walk "image hit" 2 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:2);
+  (* Miss, and (1,0) is two inserts old: the inner lookup rebuilds it. *)
+  check_walk "second image" 3 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:3);
+  let st = Rv_sim.Traj_cache.stats () in
+  Alcotest.(check int) "builds" 4 !builds;
+  Alcotest.(check int) "misses" 4 st.Rv_sim.Traj_cache.misses;
+  Alcotest.(check int) "hits" 2 st.Rv_sim.Traj_cache.hits
 
 (* ------------------------------------------------- dispatch model *)
 
@@ -266,8 +352,11 @@ let () =
         [
           tc "reduced == unreduced (4 families x 3 algorithms x 3 draws)"
             test_reduced_matches_unreduced;
+          tc "a failing pair replays: same error, sym on/off, sink on/off"
+            test_failure_replays;
           tc "unreducible families fall back and report none"
             test_unreducible_families_report_none;
         ] );
+      ("cache", [ tc "re-entrant build across a rotation" test_cache_reentrant_build ]);
       ("dispatch", [ tc "cost model decisions" test_dispatch_decide ]);
     ]

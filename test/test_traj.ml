@@ -33,14 +33,23 @@ let families () =
     ("torus:3x4", torus, fun ~start -> Rv_explore.Euler_walk.closed torus ~start);
   ]
 
+let blocks_of ~algorithm ~space ~explorer ~label ~start =
+  List.map
+    (function
+      | Sched.Pause k -> Traj.Still k
+      | Sched.Explore e -> Traj.Run (e.Ex.fresh (), e.Ex.bound))
+    (R.schedule algorithm ~space ~label ~explorer:(explorer ~start))
+
 let traj_of ~g ~algorithm ~space ~explorer ~label ~start =
-  let sched = R.schedule algorithm ~space ~label ~explorer:(explorer ~start) in
-  Traj.of_blocks ~g ~start
-    (List.map
-       (function
-         | Sched.Pause k -> Traj.Still k
-         | Sched.Explore e -> Traj.Run (e.Ex.fresh (), e.Ex.bound))
-       sched)
+  Traj.of_blocks ~g ~start (blocks_of ~algorithm ~space ~explorer ~label ~start)
+
+let check_same_traj id (want : Traj.t) (got : Traj.t) =
+  Alcotest.(check int) (id ^ " start") want.Traj.start got.Traj.start;
+  Alcotest.(check int) (id ^ " rounds") want.Traj.rounds got.Traj.rounds;
+  Alcotest.(check int) (id ^ " first_move") want.Traj.first_move got.Traj.first_move;
+  Alcotest.(check (array int)) (id ^ " pos") want.Traj.pos got.Traj.pos;
+  Alcotest.(check (array int)) (id ^ " port") want.Traj.port got.Traj.port;
+  Alcotest.(check (array int)) (id ^ " moves") want.Traj.moves got.Traj.moves
 
 (* ------------------------------------------------- constructor agreement *)
 
@@ -68,17 +77,7 @@ let test_of_blocks_matches_of_schedule () =
                     Printf.sprintf "%s %s l=%d s=%d" fam (R.name algorithm) label
                       start
                   in
-                  Alcotest.(check int) (id ^ " rounds") generic.Traj.rounds
-                    blocks.Traj.rounds;
-                  Alcotest.(check int)
-                    (id ^ " first_move") generic.Traj.first_move
-                    blocks.Traj.first_move;
-                  Alcotest.(check (array int)) (id ^ " pos") generic.Traj.pos
-                    blocks.Traj.pos;
-                  Alcotest.(check (array int)) (id ^ " port") generic.Traj.port
-                    blocks.Traj.port;
-                  Alcotest.(check (array int)) (id ^ " moves") generic.Traj.moves
-                    blocks.Traj.moves)
+                  check_same_traj id generic blocks)
                 [ 0; 3; Pg.n g - 1 ])
             [ 1; 5; 16 ])
         [ R.Cheap; R.Fast; R.Fwr 2 ])
@@ -297,6 +296,130 @@ let test_meeting_at_wake_boundary () =
   Alcotest.(check (option int)) "deferred meeting" (Some 4) m.Traj.meeting_round;
   Alcotest.(check (option int)) "caught at node 4" (Some 4) m.Traj.meeting_node
 
+(* ------------------------------------ automorphic images, streamed check *)
+
+module Sym = Rv_graph.Symmetry
+
+let algorithms = [ R.Cheap; R.Fast; R.Fwr 2 ]
+
+(* On a certifying family the walk from phi(0) is the image of the walk
+   from 0, field for field — what the reduced sweep's cache relies on. *)
+let test_image_matches_of_blocks () =
+  let rng = Rng.create ~seed:0x1a6e in
+  let space = 16 in
+  List.iter
+    (fun (fam, g, explorer) ->
+      let autos = Sym.automorphisms (Sym.detect g) in
+      List.iter
+        (fun algorithm ->
+          for _ = 1 to 3 do
+            let label = 1 + Rng.int rng space in
+            let t0 = traj_of ~g ~algorithm ~space ~explorer ~label ~start:0 in
+            Array.iter
+              (fun phi ->
+                let start = phi.(0) in
+                check_same_traj
+                  (Printf.sprintf "%s %s l=%d image to %d" fam (R.name algorithm)
+                     label start)
+                  (traj_of ~g ~algorithm ~space ~explorer ~label ~start)
+                  (Traj.image phi t0))
+              autos
+          done)
+        algorithms)
+    (Sym_families.reduced ())
+
+let same_ints a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+(* The streamed check against its definition — build both walks, compare
+   round counts and ports — from every phi(0).  Every label certifies on
+   the reduced families; the Hamiltonian-cycle walk on the torus follows
+   node identities, and no label does. *)
+let test_same_ports_agrees_with_builds () =
+  let space = 16 in
+  let ham_torus = Rv_graph.Torus.make ~rows:3 ~cols:4 in
+  let cycle = Rv_graph.Torus.hamiltonian_cycle ~rows:3 ~cols:4 in
+  let families =
+    List.map (fun (fam, g, explorer) -> (fam, g, explorer, true)) (Sym_families.reduced ())
+    @ [
+        ( "torus:3x4 ham",
+          ham_torus,
+          (fun ~start -> Rv_explore.Ham_walk.make ham_torus ~cycle ~start),
+          false );
+      ]
+  in
+  List.iter
+    (fun (fam, g, explorer, certifies) ->
+      let obs = Traj.observations g in
+      let autos = Sym.automorphisms (Sym.detect g) in
+      List.iter
+        (fun algorithm ->
+          List.iter
+            (fun label ->
+              let t0 = traj_of ~g ~algorithm ~space ~explorer ~label ~start:0 in
+              let all = ref true in
+              Array.iter
+                (fun phi ->
+                  let start = phi.(0) in
+                  let id =
+                    Printf.sprintf "%s %s l=%d from %d" fam (R.name algorithm) label start
+                  in
+                  let built = traj_of ~g ~algorithm ~space ~explorer ~label ~start in
+                  let streamed =
+                    Traj.same_ports obs ~start
+                      (blocks_of ~algorithm ~space ~explorer ~label ~start)
+                      t0
+                  in
+                  Alcotest.(check bool)
+                    id
+                    (built.Traj.rounds = t0.Traj.rounds
+                    && same_ints built.Traj.port t0.Traj.port)
+                    streamed;
+                  if not streamed then all := false)
+                autos;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s l=%d certifies" fam (R.name algorithm) label)
+                certifies !all)
+            [ 1; 5; 16 ])
+        algorithms)
+    families
+
+let always p (_ : Ex.observation) = Ex.Move p
+
+let test_same_ports_crafted () =
+  let g = Rv_graph.Ring.oriented 6 in
+  let obs = Traj.observations g in
+  let check id expect blocks t =
+    Alcotest.(check bool) id expect (Traj.same_ports obs ~start:1 blocks t)
+  in
+  let clockwise = Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 4) ] in
+  check "same walk" true [ Traj.Run (always 0, 4) ] clockwise;
+  check "turns back in the final round only" false
+    [ Traj.Run (scripted [ Ex.Move 0; Ex.Move 0; Ex.Move 0; Ex.Move 1 ], 4) ]
+    clockwise;
+  check "one round longer" false [ Traj.Run (always 0, 5) ] clockwise;
+  check "pauses where the walk moves" false
+    [ Traj.Run (always 0, 2); Traj.Still 2 ]
+    clockwise;
+  (* Turns back unless it just entered through a port: after a pause
+     there is no entry port, so it turns back — in both walkers. *)
+  let turn_back_fresh (o : Ex.observation) =
+    match o.Ex.entry with None -> Ex.Move 1 | Some _ -> Ex.Move 0
+  in
+  let paused next = [ Traj.Run (always 0, 2); Traj.Still 2; Traj.Run (next, 1) ] in
+  let ahead = Traj.of_blocks ~g ~start:0 (paused (always 0)) in
+  let back = Traj.of_blocks ~g ~start:0 (paused turn_back_fresh) in
+  check "diverges after the pause" false (paused turn_back_fresh) ahead;
+  check "pause resets the entry port alike" true (paused turn_back_fresh) back;
+  (* An invalid port raises exactly what of_blocks raises. *)
+  let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
+  let bad = [ Traj.Run (always 5, 1) ] in
+  let one = Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 1) ] in
+  let from_build = raised (fun () -> ignore (Traj.of_blocks ~g ~start:1 bad)) in
+  Alcotest.(check bool) "of_blocks raises" true (Option.is_some from_build);
+  Alcotest.(check (option string))
+    "same Invalid_argument" from_build
+    (raised (fun () -> ignore (Traj.same_ports obs ~start:1 bad one)))
+
 (* ------------------------------------------------------- cache accounting *)
 
 let counter name =
@@ -399,6 +522,12 @@ let () =
             test_meet_intervals_matches_sim_run;
           tc "crossing at the delay boundary" test_crossing_at_delay_boundary;
           tc "meeting at the wake boundary" test_meeting_at_wake_boundary;
+          tc "image == of_blocks from phi(0) (4 families x 3 algorithms)"
+            test_image_matches_of_blocks;
+          tc "same_ports == build and compare (certifying + ham torus)"
+            test_same_ports_agrees_with_builds;
+          tc "same_ports on crafted walks (last round, pause, invalid port)"
+            test_same_ports_crafted;
         ] );
       ( "cache",
         [
