@@ -572,10 +572,7 @@ let traj_speedup () =
   let median a =
     let a = Array.copy a in
     Array.sort Float.compare a;
-    let n = Array.length a in
-    if n = 0 then 0.
-    else if n mod 2 = 1 then a.(n / 2)
-    else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+    Rv_util.Stats.percentile a 0.5
   in
   (* Each cell (one worst_for sweep) is timed on its own inside every
      rep, with the `Auto and `Reference variants back-to-back (order

@@ -16,23 +16,16 @@ let fit_line samples =
   | [] -> { f_n = 0; f_mean = 0.; f_slope_per_s = 0.; f_first = 0.; f_last = 0.; f_growth = 0. }
   | (t0, v0) :: _ ->
       let n = List.length samples in
-      let fn = float_of_int n in
-      let tl, vl =
-        List.fold_left (fun _ s -> s) (t0, v0) samples
+      let tl, vl = List.fold_left (fun _ s -> s) (t0, v0) samples in
+      (* Below two points or over a zero time range there is no line. *)
+      let slope =
+        match Rv_util.Stats.linear_fit samples with
+        | _, b -> b
+        | exception Invalid_argument _ -> 0.
       in
-      let tmean = List.fold_left (fun a (t, _) -> a +. t) 0. samples /. fn in
-      let vmean = List.fold_left (fun a (_, v) -> a +. v) 0. samples /. fn in
-      let cov, var =
-        List.fold_left
-          (fun (c, va) (t, v) ->
-            let dt = t -. tmean in
-            (c +. (dt *. (v -. vmean)), va +. (dt *. dt)))
-          (0., 0.) samples
-      in
-      let slope = if var > 0. then cov /. var else 0. in
       {
         f_n = n;
-        f_mean = vmean;
+        f_mean = List.fold_left (fun a (_, v) -> a +. v) 0. samples /. float_of_int n;
         f_slope_per_s = slope;
         f_first = v0;
         f_last = vl;

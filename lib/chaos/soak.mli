@@ -18,8 +18,8 @@ type fit = {
 }
 
 val fit_line : (float * float) list -> fit
-(** Least squares over [(seconds, value)] samples; slope 0 when fewer
-    than two samples. *)
+(** Least squares ({!Rv_util.Stats.linear_fit}) over [(seconds, value)]
+    samples; slope 0 when fewer than two samples or a zero time range. *)
 
 val flat : ?drift_frac:float -> ?floor:float -> fit -> bool
 (** Flat iff the fitted growth over the window stays within

@@ -16,15 +16,11 @@ let create ?(total = 0) () =
     started = Unix.gettimeofday ();
   }
 
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
-
 let tick t = Atomic.incr t.completed
 
 let observe t ~time ~cost =
-  atomic_max t.worst_time time;
-  atomic_max t.worst_cost cost
+  Rv_obs.Histogram.atomic_max t.worst_time time;
+  Rv_obs.Histogram.atomic_max t.worst_cost cost
 
 let completed t = Atomic.get t.completed
 let total t = t.total

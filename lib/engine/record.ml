@@ -1,3 +1,5 @@
+module Json = Rv_obs.Json
+
 type t = {
   graph : string;
   algorithm : string;
@@ -12,166 +14,50 @@ type t = {
   cost : int;
 }
 
-(* JSON writing *)
-
-let escape_json s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* JSON writing: a fixed template, the sink's per-record path. *)
 
 let to_json r =
   Printf.sprintf
     {|{"graph":"%s","algorithm":"%s","label_a":%d,"label_b":%d,"start_a":%d,"start_b":%d,"delay_a":%d,"delay_b":%d,"met":%b,"time":%d,"cost":%d}|}
-    (escape_json r.graph) (escape_json r.algorithm) r.label_a r.label_b r.start_a
+    (Json.escape r.graph) (Json.escape r.algorithm) r.label_a r.label_b r.start_a
     r.start_b r.delay_a r.delay_b r.met r.time r.cost
 
-(* JSON reading: a minimal parser for the flat objects we emit — string,
-   integer and boolean values only, any field order, arbitrary whitespace. *)
-
-type value = S of string | I of int | B of bool
+(* JSON reading: the shared codec, then each field at its exact type — an
+   integral float such as [1.0] is not an integer here, and an integer
+   literal too large for [int] (parsed as a float) is rejected too. *)
 
 exception Bad of string
 
 let of_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then incr pos
-    else raise (Bad (Printf.sprintf "expected '%c' at position %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then raise (Bad "unterminated string");
-      let c = line.[!pos] in
-      incr pos;
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-          if !pos >= n then raise (Bad "unterminated escape");
-          let e = line.[!pos] in
-          incr pos;
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 > n then raise (Bad "truncated \\u escape");
-              let hex = String.sub line !pos 4 in
-              pos := !pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> raise (Bad ("bad \\u escape " ^ hex))
-              in
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else raise (Bad "non-ASCII \\u escapes are not supported")
-          | c -> raise (Bad (Printf.sprintf "unknown escape \\%c" c)));
-          go ()
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_literal lit =
-    if !pos + String.length lit <= n && String.sub line !pos (String.length lit) = lit
-    then pos := !pos + String.length lit
-    else raise (Bad (Printf.sprintf "bad literal at position %d" !pos))
-  in
-  let parse_int () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    while !pos < n && (match line.[!pos] with '0' .. '9' -> true | _ -> false) do
-      incr pos
-    done;
-    if !pos = start then raise (Bad (Printf.sprintf "expected integer at position %d" start));
-    int_of_string (String.sub line start (!pos - start))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some 't' -> parse_literal "true"; B true
-    | Some 'f' -> parse_literal "false"; B false
-    | Some ('-' | '0' .. '9') -> I (parse_int ())
-    | _ -> raise (Bad (Printf.sprintf "unsupported value at position %d" !pos))
-  in
-  try
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        let key = (skip_ws (); parse_string ()) in
-        expect ':';
-        let v = parse_value () in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' -> incr pos; members ()
-        | Some '}' -> incr pos
-        | _ -> raise (Bad "expected ',' or '}'")
+  match Json.parse line with
+  | Error msg -> Error msg
+  | Ok (Json.Obj fields) -> (
+      let field k =
+        match List.assoc_opt k fields with
+        | Some v -> v
+        | None -> raise (Bad ("missing field " ^ k))
       in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage after object");
-    let fields = !fields in
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (S s) -> s
-      | Some _ -> raise (Bad (k ^ ": expected a string"))
-      | None -> raise (Bad ("missing field " ^ k))
-    in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (I i) -> i
-      | Some _ -> raise (Bad (k ^ ": expected an integer"))
-      | None -> raise (Bad ("missing field " ^ k))
-    in
-    let bool k =
-      match List.assoc_opt k fields with
-      | Some (B b) -> b
-      | Some _ -> raise (Bad (k ^ ": expected a boolean"))
-      | None -> raise (Bad ("missing field " ^ k))
-    in
-    Ok
-      {
-        graph = str "graph";
-        algorithm = str "algorithm";
-        label_a = int "label_a";
-        label_b = int "label_b";
-        start_a = int "start_a";
-        start_b = int "start_b";
-        delay_a = int "delay_a";
-        delay_b = int "delay_b";
-        met = bool "met";
-        time = int "time";
-        cost = int "cost";
-      }
-  with Bad msg -> Error msg
+      let expected k what = raise (Bad (Printf.sprintf "%s: expected %s" k what)) in
+      let str k = match field k with Json.Str s -> s | _ -> expected k "a string" in
+      let int k = match field k with Json.Int i -> i | _ -> expected k "an integer" in
+      let bool k = match field k with Json.Bool b -> b | _ -> expected k "a boolean" in
+      try
+        Ok
+          {
+            graph = str "graph";
+            algorithm = str "algorithm";
+            label_a = int "label_a";
+            label_b = int "label_b";
+            start_a = int "start_a";
+            start_b = int "start_b";
+            delay_a = int "delay_a";
+            delay_b = int "delay_b";
+            met = bool "met";
+            time = int "time";
+            cost = int "cost";
+          }
+      with Bad msg -> Error msg)
+  | Ok _ -> Error "expected a JSON object"
 
 (* CSV *)
 

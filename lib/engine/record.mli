@@ -35,7 +35,10 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 (** Parse a line produced by {!to_json}.  Tolerates whitespace and field
-    reordering; [Error] describes the first problem found. *)
+    reordering; every field must be present at its exact JSON type (no
+    [1.0] for an integer, no [null]).  Anything else — including an
+    integer too large for [int] — is an [Error] describing a problem
+    found, never an exception. *)
 
 val csv_header : string
 (** Column names, comma-separated, matching {!to_csv}. *)

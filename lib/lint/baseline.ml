@@ -8,6 +8,8 @@
    their key; keys whose count dropped are reported as a warning so the
    baseline gets refreshed (with --write-baseline) rather than rotting. *)
 
+module Json = Rv_obs.Json
+
 type key = {
   k_file : string;
   k_rule : Report.rule;
@@ -60,6 +62,8 @@ let to_json (t : t) =
              t) );
     ]
 
+let to_string t = Json.to_string (to_json t) ^ "\n"
+
 let of_json j =
   let ( let* ) r f = Result.bind r f in
   let str field o =
@@ -100,7 +104,7 @@ let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error ("cannot read baseline: " ^ msg)
   | source -> (
-      match Json.of_string source with
+      match Json.parse source with
       | Error msg -> Error (Printf.sprintf "baseline %s does not parse: %s" path msg)
       | Ok j -> of_json j)
 

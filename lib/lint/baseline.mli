@@ -13,7 +13,9 @@ type key = {
 type t = (key * int) list  (** sorted by key; counts >= 1 *)
 
 val of_findings : Report.finding list -> t
-val to_json : t -> Json.t
+val to_string : t -> string
+(** The bytes [--write-baseline] writes: one JSON line, newline-terminated.
+    {!load} followed by [to_string] reproduces a file this wrote. *)
 
 val load : string -> (t, string) result
 (** Unreadable or corrupt baselines are [Error], never exceptions. *)

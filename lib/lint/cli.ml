@@ -3,6 +3,8 @@
    Kept here (and free of cmdliner) so both binaries print identical
    reports and agree on exit codes: 0 clean, 1 findings, 2 usage error. *)
 
+module Json = Rv_obs.Json
+
 let default_paths = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 let core_paths = [ "lib"; "bin"; "bench" ]
 
@@ -109,8 +111,7 @@ let run ?(config = Config.default) ?(scope = "full") ?(typed = true)
                 match write_baseline with
                 | Some path ->
                     write_file path
-                      (Json.to_string (Baseline.to_json (Baseline.of_findings res.Driver.findings))
-                      ^ "\n");
+                      (Baseline.to_string (Baseline.of_findings res.Driver.findings));
                     Printf.eprintf "rv_lint: baseline written to %s (%d finding%s)\n"
                       path
                       (List.length res.Driver.findings)

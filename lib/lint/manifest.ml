@@ -13,9 +13,8 @@
    The function name is [Module.binding] where [Module] is the
    compilation unit's short name (file basename, capitalised).  The third
    column is an optional source-path suffix disambiguating same-named
-   modules across libraries (the tree has two [Json]s); when present, the
-   entry only applies to compilation units whose recorded source path
-   ends with it. *)
+   modules across libraries; when present, the entry only applies to
+   compilation units whose recorded source path ends with it. *)
 
 type entry = {
   e_func : string;  (* "Module.binding" *)

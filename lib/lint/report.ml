@@ -5,6 +5,8 @@
    for defects in the lint input itself (unparseable file, bare or
    malformed allow directive) and can never be suppressed. *)
 
+module Json = Rv_obs.Json
+
 type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | Lint
 
 let rule_to_string = function

@@ -29,4 +29,4 @@ val compare_finding : finding -> finding -> int
 val to_string : finding -> string
 (** [file:line:col [rule] message]. *)
 
-val to_json : finding -> Json.t
+val to_json : finding -> Rv_obs.Json.t

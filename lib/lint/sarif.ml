@@ -3,6 +3,8 @@
    the rules table (plus the internal "lint" rule for input defects);
    results point at (file, line, col+1) physical locations. *)
 
+module Json = Rv_obs.Json
+
 let rule_descriptor r =
   Json.Obj
     [

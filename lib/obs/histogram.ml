@@ -68,27 +68,6 @@ let max_value t = Atomic.get t.max_seen
 let bucket_bounds i =
   if i <= 0 then (min_int, 0) else (1 lsl (i - 1), (1 lsl i) - 1)
 
-let percentile t p =
-  let p = Float.min 1. (Float.max 0. p) in
-  let n = Atomic.get t.n in
-  if n = 0 then 0
-  else begin
-    (* Smallest bucket whose cumulative count covers rank [ceil (p*n)];
-       report its upper bound, clamped to the largest value actually
-       seen (exact for the top bucket, 2x-coarse below it). *)
-    let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
-    let rec go i acc =
-      if i >= nbuckets then Atomic.get t.max_seen
-      else begin
-        let acc = acc + Atomic.get t.cells.(i) in
-        if acc >= rank then
-          if i = 0 then 0 else min (snd (bucket_bounds i)) (Atomic.get t.max_seen)
-        else go (i + 1) acc
-      end
-    in
-    go 0 0
-  end
-
 let buckets t =
   let out = ref [] in
   for i = nbuckets - 1 downto 0 do

@@ -5,7 +5,8 @@
     atomic increment on the bucket plus atomic sum/count/max updates, so
     worker domains can observe concurrently; like {!Counter}, histograms
     live in a process-global registry keyed by name and {!observe} is a
-    no-op when instrumentation is disabled. *)
+    no-op when instrumentation is disabled.  Percentile estimates over
+    this bucket layout are {!Window}'s. *)
 
 type t
 
@@ -15,6 +16,11 @@ val nbuckets : int
 val bucket_of : int -> int
 (** [bucket_of v] is the bucket index of [v]: [0] for [v <= 0], else
     [1 + floor (log2 v)] capped at [nbuckets - 1]. *)
+
+val atomic_max : int Atomic.t -> int -> unit
+(** [atomic_max cell v] raises [cell] to [v] if [v] is larger: a
+    compare-and-set retry loop, lock-free and safe across domains.  The
+    max of every histogram, {!Window} slot and sweep progress cell. *)
 
 val find : string -> t
 val observe_t : t -> int -> unit
@@ -29,12 +35,6 @@ val sum : t -> int
 val mean : t -> float
 val max_value : t -> int
 (** Largest observed value ([0] when empty). *)
-
-val percentile : t -> float -> int
-(** [percentile t p] ([0. <= p <= 1.]) is an upper bound on the [p]-th
-    quantile of the observed values, at the log-bucket resolution:
-    the upper bound of the smallest bucket covering rank [ceil (p*n)],
-    clamped to {!max_value}.  [0] when empty. *)
 
 val bucket_bounds : int -> int * int
 (** [bucket_bounds i] is the inclusive value range of bucket [i]

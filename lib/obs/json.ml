@@ -89,6 +89,14 @@ let to_string t =
   go t;
   Buffer.contents b
 
+let escape s =
+  if not (needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+  end
+
 exception Bad of string
 
 let parse s =

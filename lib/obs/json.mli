@@ -1,8 +1,10 @@
-(** A minimal JSON tree: enough for the observability exporters (Chrome
-    trace-event files, JSONL metric streams) and for parsing back what we
-    emit in tests and smoke checks.  Not a general-purpose JSON library —
-    numbers are OCaml [int]/[float], strings are bytes (no unicode
-    normalization), and object keys keep emission order. *)
+(** The tree's one JSON codec: the observability exporters (Chrome
+    trace-event files, JSONL metric streams), serve requests and replies,
+    rv_lint's reports, baselines and SARIF, and sweep records
+    ([Rv_engine.Record]) all read and write JSON through it.  Not a
+    general-purpose JSON library — numbers are OCaml [int]/[float],
+    strings are bytes (no unicode normalization), and object keys keep
+    emission order. *)
 
 type t =
   | Null
@@ -15,6 +17,11 @@ type t =
 
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace), valid JSON. *)
+
+val escape : string -> string
+(** The body of a JSON string literal for [s], without the quotes, as
+    {!to_string} writes it: [s] itself (no copy) when nothing needs
+    escaping.  For writers that render a fixed template with [Printf]. *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a position-annotated

@@ -42,10 +42,6 @@ let create ?(slots = default_slots) name =
 
 let name t = t.name
 
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
-
 let observe t ~now_s v =
   let now_s = max 0 now_s in
   let slot = t.slots.(now_s mod Array.length t.slots) in
@@ -64,8 +60,11 @@ let observe t ~now_s v =
   ignore (Atomic.fetch_and_add slot.cells.(Histogram.bucket_of v) 1);
   ignore (Atomic.fetch_and_add slot.s_n 1);
   ignore (Atomic.fetch_and_add slot.s_sum v);
-  atomic_max slot.s_max v
+  Histogram.atomic_max slot.s_max v
 
+(* The bucket holding the nearest-rank sample (rank ceil(p*n), as in
+   Rv_util.Stats.percentile), reported as its upper bound clamped to the
+   largest value seen: exact in the top bucket, 2x-coarse below it. *)
 let percentile_of_cells cells ~n ~maxv p =
   if n = 0 then 0
   else begin

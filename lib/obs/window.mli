@@ -25,8 +25,11 @@ type stats = {
   w_p50 : int;
   w_p90 : int;
   w_p99 : int;
-      (** percentile upper bounds at log2-bucket resolution, clamped to
-          [w_max] (same contract as {!Histogram.percentile}) *)
+      (** [w_p50]/[w_p90]/[w_p99]: the log2-bucket upper bound of the
+          nearest-rank sample — the one [Rv_util.Stats.percentile] picks
+          from the horizon's values — clamped to [w_max]; [0] when that
+          sample is [<= 0] or the horizon is empty.  This is the tree's
+          only histogram percentile estimator. *)
 }
 
 val empty_stats : stats

@@ -223,9 +223,7 @@ let drive_conn fd lines indices result =
       result.failure <- Some ("connection error: " ^ msg)
 
 let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0
-  else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
+  if Array.length sorted = 0 then 0 else Rv_util.Stats.percentile sorted p
 
 let classify reply =
   match Json.parse reply with

@@ -40,7 +40,8 @@ type server_stats = {
 }
 (** The server's own latency view, scraped from its [metrics] probe
     after the run: the 5-minute sliding window (which covers the whole
-    run), at log2-bucket resolution. *)
+    run), at log2-bucket resolution — each percentile is the bucket
+    upper bound of the same nearest-rank sample the client reports. *)
 
 type summary = {
   requests : int;
@@ -55,6 +56,9 @@ type summary = {
   elapsed_s : float;
   throughput_rps : float;
   lat_p50_us : int;
+      (** client latencies: nearest-rank percentiles
+          ({!Rv_util.Stats.percentile}) of every request's write-to-read
+          time; [0] with no replies *)
   lat_p90_us : int;
   lat_p99_us : int;
   lat_max_us : int;

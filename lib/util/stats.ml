@@ -15,17 +15,12 @@ let mean xs =
       let total = List.fold_left ( + ) 0 xs in
       float_of_int total /. float_of_int (List.length xs)
 
-(* Percentile with linear interpolation between order statistics. *)
+(* Nearest rank: the ceil(p*n)-th smallest sample, the smallest at p = 0. *)
 let percentile sorted p =
   let n = Array.length sorted in
-  if n = 1 then float_of_int sorted.(0)
-  else begin
-    let pos = p *. float_of_int (n - 1) in
-    let lo = int_of_float (floor pos) in
-    let hi = min (lo + 1) (n - 1) in
-    let frac = pos -. float_of_int lo in
-    ((1.0 -. frac) *. float_of_int sorted.(lo)) +. (frac *. float_of_int sorted.(hi))
-  end
+  if n = 0 then invalid_arg "Stats.percentile: empty";
+  let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+  sorted.(max 1 (min n rank) - 1)
 
 let summarize xs =
   match xs with
@@ -45,8 +40,8 @@ let summarize xs =
         max = sorted.(n - 1);
         mean = m;
         stddev = sqrt var;
-        median = percentile sorted 0.5;
-        p90 = percentile sorted 0.9;
+        median = float_of_int (percentile sorted 0.5);
+        p90 = float_of_int (percentile sorted 0.9);
       }
 
 let argmax f = function

@@ -9,9 +9,19 @@ type summary = {
   max : int;
   mean : float;
   stddev : float;
-  median : float;
-  p90 : float;  (** 90th percentile (linear interpolation) *)
+  median : float;  (** [percentile sorted 0.5] *)
+  p90 : float;  (** [percentile sorted 0.9] *)
 }
+
+val percentile : 'a array -> float -> 'a
+(** [percentile sorted p] is the nearest-rank [p]-th percentile of an
+    ascending array of [n] samples: its [ceil (p *. n)]-th smallest
+    element, and the smallest for [p = 0.] (ranks are clamped to
+    [1 .. n]).  Always a sample, never an interpolation.  This is the
+    tree's one exact-sample percentile: {!summarize}, [rv loadgen]'s
+    client latencies and the benches use it, and [Rv_obs.Window]
+    reports the log2-bucket bound of this same sample.  Raises
+    [Invalid_argument] on an empty array. *)
 
 val summarize : int list -> summary
 (** Raises [Invalid_argument] on the empty list. *)

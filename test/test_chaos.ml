@@ -106,7 +106,9 @@ let test_fit_line () =
   let empty = Soak.fit_line [] in
   Alcotest.(check int) "empty n" 0 empty.Soak.f_n;
   let one = Soak.fit_line [ (5., 42.) ] in
-  Alcotest.(check (float 1e-9)) "single slope" 0. one.Soak.f_slope_per_s
+  Alcotest.(check (float 1e-9)) "single slope" 0. one.Soak.f_slope_per_s;
+  let instant = Soak.fit_line [ (5., 42.); (5., 50.) ] in
+  Alcotest.(check (float 1e-9)) "zero time range slope" 0. instant.Soak.f_slope_per_s
 
 (* Noise around a constant is flat; a steady climb is not; the absolute
    floor forgives growth that is large relative to a tiny mean. *)

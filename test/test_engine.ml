@@ -163,13 +163,26 @@ let test_jsonl_roundtrip () =
    with
   | Ok r -> Alcotest.(check string) "reordered graph" "g" r.Record.graph
   | Error e -> Alcotest.fail ("reordered: " ^ e));
-  (* Malformed input is an Error, not an exception. *)
+  (* Malformed input is an Error, not an exception: an int literal past
+     [max_int], a bare minus sign, an integral float and a null are all
+     rejected. *)
+  let line ?(label_a = "3") ?(met = "true") ?(time = "1") () =
+    Printf.sprintf
+      {|{"graph":"g","algorithm":"a","label_a":%s,"label_b":4,"start_a":5,"start_b":6,"delay_a":0,"delay_b":7,"met":%s,"time":%s,"cost":2}|}
+      label_a met time
+  in
+  (match Record.of_json (line ()) with
+  | Ok r -> Alcotest.(check int) "template parses" 3 r.Record.label_a
+  | Error e -> Alcotest.fail ("template: " ^ e));
   List.iter
     (fun bad ->
       match Record.of_json bad with
       | Ok _ -> Alcotest.fail ("accepted malformed: " ^ bad)
-      | Error _ -> ())
-    [ ""; "{"; "not json"; {|{"graph":"g"}|}; Record.to_json sample_record ^ "x" ]
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "raised %s on: %s" (Printexc.to_string e) bad)
+    [ ""; "{"; "not json"; {|{"graph":"g"}|}; Record.to_json sample_record ^ "x"; "[]";
+      line ~label_a:"99999999999999999999" (); line ~label_a:"-" ();
+      line ~time:"1.0" (); line ~met:"null" () ]
 
 let test_csv () =
   Alcotest.(check string) "header columns"

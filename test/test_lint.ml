@@ -631,7 +631,7 @@ let baseline_json_roundtrip () =
   let path = Filename.temp_file "rv_lint_baseline" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  output_string oc (Rv_lint.Json.to_string (Baseline.to_json bl));
+  output_string oc (Baseline.to_string bl);
   close_out oc;
   match Baseline.load path with
   | Error e -> Alcotest.failf "roundtrip load failed: %s" e
@@ -712,7 +712,9 @@ let typed_never_crashes () =
 (* The full gate over lib/: both passes plus suppressions must leave
    nothing beyond the checked-in baseline (nothing at all when the
    hot-path manifest is absent, since R8 only gates declared paths and
-   the tree is clean under R6/R7/R9). *)
+   the tree is clean under R6/R7/R9).  The baseline must also re-render
+   to its own bytes, so a JSON codec change cannot silently reformat the
+   checked-in file. *)
 let typed_tree_clean () =
   with_root @@ fun _root ->
   match artifact_dir () with
@@ -725,7 +727,11 @@ let typed_tree_clean () =
         if Sys.file_exists "lint_baseline.json" then
           match Baseline.load "lint_baseline.json" with
           | Error e -> Alcotest.failf "checked-in baseline unreadable: %s" e
-          | Ok bl -> (Baseline.diff ~baseline:bl r.Driver.findings).Baseline.fresh
+          | Ok bl ->
+              Alcotest.(check string) "baseline re-renders byte for byte"
+                (In_channel.with_open_bin "lint_baseline.json" In_channel.input_all)
+                (Baseline.to_string bl);
+              (Baseline.diff ~baseline:bl r.Driver.findings).Baseline.fresh
         else r.Driver.findings
       in
       List.iter (fun f -> print_endline (Report.to_string f)) fresh;

@@ -277,24 +277,17 @@ let stream ~seed n =
       1 + (!s mod 200_000))
 
 (* The exact value the window must report for percentile [p] over
-   [values]: the log2-bucket upper bound of the rank-th smallest value,
-   clamped to the observed max — 0 when the rank lands in bucket 0.
-   This mirrors the documented contract, computed offline from the raw
-   values instead of the ring. *)
+   [values]: the log2-bucket upper bound of the nearest-rank sample
+   (Rv_util.Stats.percentile), clamped to the observed max — 0 when that
+   sample lands in bucket 0.  This mirrors the documented contract,
+   computed offline from the raw values instead of the ring. *)
 let exact_window_percentile values p =
-  let sorted = List.sort Int.compare values in
-  let n = List.length sorted in
-  if n = 0 then 0
-  else begin
-    let rank = max 1 (int_of_float (ceil (p *. float_of_int n))) in
-    let v = List.nth sorted (rank - 1) in
-    let b = Histogram.bucket_of v in
-    if b = 0 then 0
-    else
-      min
-        (snd (Histogram.bucket_bounds b))
-        (List.fold_left max 0 sorted)
-  end
+  match List.sort Int.compare values with
+  | [] -> 0
+  | sorted ->
+      let b = Histogram.bucket_of (Rv_util.Stats.percentile (Array.of_list sorted) p) in
+      if b = 0 then 0
+      else min (snd (Histogram.bucket_bounds b)) (List.fold_left max 0 sorted)
 
 let check_window_stats label (st : Window.stats) values =
   let n = List.length values in

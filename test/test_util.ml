@@ -271,7 +271,16 @@ let test_percentiles () =
   Alcotest.(check (float 1e-9)) "p90 of 0..10" 9.0 s.Stats.p90;
   Alcotest.(check bool) "stddev positive" true (s.Stats.stddev > 0.0);
   let single = Stats.summarize [ 42 ] in
-  Alcotest.(check (float 1e-9)) "single median" 42.0 single.Stats.median
+  Alcotest.(check (float 1e-9)) "single median" 42.0 single.Stats.median;
+  (* Nearest rank: over 1..100, p99 is the 99th-smallest sample and p50
+     the 50th — not the max and the 51st. *)
+  let a = Array.init 100 (fun i -> i + 1) in
+  check "p99 of 1..100" 99 (Stats.percentile a 0.99);
+  check "p50 of 1..100" 50 (Stats.percentile a 0.5);
+  check "p100 is the max" 100 (Stats.percentile a 1.0);
+  check "p0 is the min" 1 (Stats.percentile a 0.0);
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile: empty") (fun () ->
+      ignore (Stats.percentile [||] 0.5))
 
 let test_summarize () =
   let s = Stats.summarize [ 1; 2; 3; 4; 100 ] in
@@ -280,6 +289,22 @@ let test_summarize () =
   check "max" 100 s.Stats.max;
   Alcotest.(check (float 1e-9)) "mean" 22.0 s.Stats.mean;
   Alcotest.(check (float 1e-9)) "median" 3.0 s.Stats.median
+
+let prop_percentile_rank =
+  qtest "percentile is the ceil(p*n)-th smallest sample"
+    QCheck.(
+      triple (list_of_size Gen.(1 -- 60) (int_range (-20) 20)) small_nat
+        (float_bound_inclusive 1.0))
+    (fun (xs, k, q) ->
+      let n = List.length xs in
+      (* Half the cases put p on a multiple of 1/n, where an off-by-one
+         rank shows. *)
+      let p = if k land 1 = 0 then float_of_int (k / 2 mod (n + 1)) /. float_of_int n else q in
+      let a = Array.of_list (List.sort Int.compare xs) in
+      let r = Stats.percentile a p in
+      let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+      let count f = List.length (List.filter f xs) in
+      List.mem r xs && count (fun x -> x <= r) >= rank && count (fun x -> x < r) < max 1 rank)
 
 let test_summarize_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: empty") (fun () ->
@@ -353,6 +378,7 @@ let () =
         [
           Alcotest.test_case "summarize" `Quick test_summarize;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
+          prop_percentile_rank;
           Alcotest.test_case "summarize empty" `Quick test_summarize_empty;
           Alcotest.test_case "argmax/argmin" `Quick test_argmax;
           prop_linear_fit_exact;
