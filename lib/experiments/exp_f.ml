@@ -41,38 +41,37 @@ let scenarios () =
     {
       name = "scrambled ring n=16";
       g = ring_s;
-      explorer = (fun ~start -> Rv_explore.Map_dfs.returning ring_s ~start);
+      explorer = Rv_explore.Map_dfs.returning ring_s;
       knowledge = "marked map (E=2n-2)";
     };
     {
       name = "grid 4x4";
       g = grid;
-      explorer = (fun ~start -> Rv_explore.Map_dfs.returning grid ~start);
+      explorer = Rv_explore.Map_dfs.returning grid;
       knowledge = "marked map (E=2n-2)";
     };
     {
       name = "torus 4x4";
       g = torus;
-      explorer = (fun ~start -> Rv_explore.Euler_walk.closed torus ~start);
+      explorer = Rv_explore.Euler_walk.closed torus;
       knowledge = "Euler circuit (E=e)";
     };
     {
       name = "hypercube d=3";
       g = hc;
-      explorer = (fun ~start -> Rv_explore.Ham_walk.make hc ~cycle:hc_cycle ~start);
+      explorer = Rv_explore.Ham_walk.make hc ~cycle:hc_cycle;
       knowledge = "Hamiltonian cycle (E=n-1)";
     };
     {
       name = "random tree n=16";
       g = tree;
-      explorer = (fun ~start -> Rv_explore.Map_dfs.non_returning tree ~start);
+      explorer = Rv_explore.Map_dfs.non_returning tree;
       knowledge = "marked map (E=2n-3)";
     };
     {
       name = "complete K9";
       g = complete;
-      explorer =
-        (fun ~start -> Rv_explore.Ham_walk.make complete ~cycle:complete_cycle ~start);
+      explorer = Rv_explore.Ham_walk.make complete ~cycle:complete_cycle;
       knowledge = "Hamiltonian cycle (E=n-1)";
     };
     {
@@ -146,7 +145,7 @@ let table ?pool ?(space = 8) () =
 
 let bench_kernel () =
   let grid = Rv_graph.Grid.make ~rows:3 ~cols:3 in
-  let explorer ~start = Rv_explore.Map_dfs.returning grid ~start in
+  let explorer = Rv_explore.Map_dfs.returning grid in
   match
     Workload.worst_for ~g:grid ~algorithm:R.Fast ~space:8 ~explorer ~pairs:[ (3, 5) ]
       ~positions:(`Pairs [ (0, 4) ]) ~delays:[ (0, 0) ] ()

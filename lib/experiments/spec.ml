@@ -176,35 +176,35 @@ let parse_graph spec =
   in
   Result.map (fun g -> { g with spec }) result
 
+(* Every explorer family is built here, once per parsed graph: the
+   map-based ones compile their port tables and check their certificates
+   on partial application, and the start-blind ones are one shared value. *)
 let parse_explorer graph spec =
   let g = graph.g in
   let parts = String.split_on_char ':' spec in
+  let any_start ex = fun ~start -> ignore start; ex in
   try
     match parts with
     | [ "auto" ] ->
-        if graph.oriented_ring then
-          Ok (fun ~start -> ignore start; Rv_explore.Ring_walk.clockwise ~n:(Pg.n g))
+        if graph.oriented_ring then Ok (any_start (Rv_explore.Ring_walk.clockwise ~n:(Pg.n g)))
         else (
           match graph.hamiltonian with
-          | Some cycle -> Ok (fun ~start -> Rv_explore.Ham_walk.make g ~cycle ~start)
+          | Some cycle -> Ok (Rv_explore.Ham_walk.make g ~cycle)
           | None ->
-              if Rv_graph.Euler.is_eulerian g then
-                Ok (fun ~start -> Rv_explore.Euler_walk.closed g ~start)
-              else Ok (fun ~start -> Rv_explore.Map_dfs.returning g ~start))
+              if Rv_graph.Euler.is_eulerian g then Ok (Rv_explore.Euler_walk.closed g)
+              else Ok (Rv_explore.Map_dfs.returning g))
     | [ "ring" ] ->
-        if graph.oriented_ring then
-          Ok (fun ~start -> ignore start; Rv_explore.Ring_walk.clockwise ~n:(Pg.n g))
+        if graph.oriented_ring then Ok (any_start (Rv_explore.Ring_walk.clockwise ~n:(Pg.n g)))
         else Error "explorer 'ring' needs an oriented ring"
-    | [ "dfs" ] -> Ok (fun ~start -> Rv_explore.Map_dfs.returning g ~start)
-    | [ "dfs-nr" ] -> Ok (fun ~start -> Rv_explore.Map_dfs.non_returning g ~start)
-    | [ "unmarked" ] -> Ok (fun ~start -> ignore start; Rv_explore.Unmarked_dfs.make g)
+    | [ "dfs" ] -> Ok (Rv_explore.Map_dfs.returning g)
+    | [ "dfs-nr" ] -> Ok (Rv_explore.Map_dfs.non_returning g)
+    | [ "unmarked" ] -> Ok (any_start (Rv_explore.Unmarked_dfs.make g))
     | [ "euler" ] ->
-        if Rv_graph.Euler.is_eulerian g then
-          Ok (fun ~start -> Rv_explore.Euler_walk.closed g ~start)
+        if Rv_graph.Euler.is_eulerian g then Ok (Rv_explore.Euler_walk.closed g)
         else Error "explorer 'euler' needs an Eulerian graph"
     | [ "ham" ] -> (
         match graph.hamiltonian with
-        | Some cycle -> Ok (fun ~start -> Rv_explore.Ham_walk.make g ~cycle ~start)
+        | Some cycle -> Ok (Rv_explore.Ham_walk.make g ~cycle)
         | None -> Error "explorer 'ham' needs a family with a Hamiltonian certificate")
     | "uxs" :: rest -> (
         let seed = match rest with [ s ] -> int_of_string_opt s | _ -> Some 42 in
@@ -214,7 +214,7 @@ let parse_explorer graph spec =
             let m = Pg.n g in
             let corpus = g :: Rv_explore.Uxs.default_corpus ~size_bound:m in
             Result.map
-              (fun u -> fun ~start -> ignore start; Rv_explore.Uxs_walk.make u)
+              (fun u -> any_start (Rv_explore.Uxs_walk.make u))
               (Rv_explore.Uxs.construct ~corpus ~size_bound:m ~seed ()))
     | _ ->
         Error

@@ -375,16 +375,24 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   in
   (* The reference path checks per run that both agents' explorers
      declare the same bound E (Rendezvous.run); replicate the check up
-     front, once per position pair — explorer construction is a closure
-     allocation, the walks themselves are computed lazily. *)
-  if use_fast then
+     front.  Each distinct start's bound is read once, so a position pair
+     costs two lookups, not two explorer constructions. *)
+  if use_fast then begin
+    let bounds = Hashtbl.create 64 in
+    let bound_at start =
+      match Hashtbl.find_opt bounds start with
+      | Some b -> b
+      | None ->
+          let b = (explorer ~start).Rv_explore.Explorer.bound in
+          Hashtbl.add bounds start b;
+          b
+    in
     List.iter
       (fun (pa, pb) ->
-        let ba = (explorer ~start:pa).Rv_explore.Explorer.bound in
-        let bb = (explorer ~start:pb).Rv_explore.Explorer.bound in
-        if ba <> bb then
+        if bound_at pa <> bound_at pb then
           invalid_arg "Rendezvous.run: the two agents' explorers declare different bounds E")
-      expand;
+      expand
+  end;
   let cache =
     if not use_fast then None
     else

@@ -1,30 +1,16 @@
 module Pg = Rv_graph.Port_graph
-module Walk = Rv_graph.Walk
 module Euler = Rv_graph.Euler
 
 let require_eulerian g =
   if not (Euler.is_eulerian g) then invalid_arg "Euler_walk: graph is not Eulerian"
 
-let closed g ~start =
+let closed g =
   require_eulerian g;
-  let e = Pg.num_edges g in
-  let position = ref start in
-  Explorer.of_walk_factory ~name:"euler" ~bound:e (fun () ->
-      (* The circuit is closed, so the tracked position never changes; it is
-         still threaded through for uniformity with the other walkers. *)
-      let from = !position in
-      let walk = Euler.circuit g ~start:from in
-      position := Walk.final g ~start:from walk;
-      walk)
+  let bound = Pg.num_edges g in
+  fun ~start -> Explorer.of_map_walks ~name:"euler" ~bound g (Euler.circuit g) ~start
 
-let truncated g ~start =
+let truncated g =
   require_eulerian g;
-  let e = Pg.num_edges g in
-  let n = Pg.n g in
-  let bound = if n = 1 then 0 else e - 1 in
-  let position = ref start in
-  Explorer.of_walk_factory ~name:"euler-truncated" ~bound (fun () ->
-      let from = !position in
-      let walk = Euler.circuit_no_return g ~start:from in
-      position := Walk.final g ~start:from walk;
-      walk)
+  let bound = if Pg.n g = 1 then 0 else Pg.num_edges g - 1 in
+  fun ~start ->
+    Explorer.of_map_walks ~name:"euler-truncated" ~bound g (Euler.circuit_no_return g) ~start

@@ -7,7 +7,14 @@
     paper's bound), advancing the tracked position. *)
 
 val closed : Rv_graph.Port_graph.t -> start:int -> Explorer.t
-(** Raises [Invalid_argument] if the graph is not Eulerian. *)
+(** Build the family once per graph, [closed g], then apply it per start.
+    The partial application checks [Rv_graph.Euler.is_eulerian] and raises
+    [Invalid_argument] if the graph is not Eulerian.  Each explorer
+    computes its circuit ({!Rv_graph.Euler.circuit}) on its first
+    execution's first step and replays it in every execution, since the
+    circuit is closed. *)
 
 val truncated : Rv_graph.Port_graph.t -> start:int -> Explorer.t
-(** Raises [Invalid_argument] if the graph is not Eulerian. *)
+(** As {!closed}, with {!Rv_graph.Euler.circuit_no_return}.  The position
+    moves, so an execution recomputes the walk whenever it starts from a
+    node other than the previous execution's. *)

@@ -17,34 +17,63 @@ let make ~name ~bound ~fresh =
   in
   { name; bound; fresh }
 
-let of_walk_factory ~name ~bound factory =
+(* One shared, immutable [Move p] per port below the table size, built at
+   start-up; only a node of larger degree makes [move] allocate. *)
+let moves = Array.init 2048 (fun p -> Move p)
+
+let move p = if p >= 0 && p < Array.length moves then Array.unsafe_get moves p else Move p
+
+type slice = { ports : int array; first : int; len : int }
+
+(* An execution's place in its walk: [walk.(next)] is the next move and
+   [walk.(stop - 1)] the last.  [stop < 0] until the first step fetches
+   the slice. *)
+type replay = { mutable walk : int array; mutable next : int; mutable stop : int }
+
+let of_slices ~name ~bound fetch =
   let fresh () =
-    let remaining = ref None in
+    let r = { walk = [||]; next = 0; stop = -1 } in
     fun (_ : observation) ->
-      let ports =
-        match !remaining with
-        | Some ports -> ports
-        | None ->
-            let walk = factory () in
-            if List.length walk > bound then
-              invalid_arg
-                (Printf.sprintf "Explorer %s: walk of %d ports exceeds bound %d" name
-                   (List.length walk) bound);
-            if Rv_obs.Obs.enabled () then begin
-              Rv_obs.Counter.count "explore.walks" 1;
-              Rv_obs.Counter.count "explore.walk_ports" (List.length walk)
-            end;
-            walk
-      in
-      match ports with
-      | [] ->
-          remaining := Some [];
-          Wait
-      | p :: rest ->
-          remaining := Some rest;
-          Move p
+      if r.stop < 0 then begin
+        let s = fetch () in
+        if s.len > bound then
+          invalid_arg
+            (Printf.sprintf "Explorer %s: walk of %d ports exceeds bound %d" name s.len bound);
+        if Rv_obs.Obs.enabled () then begin
+          Rv_obs.Counter.count "explore.walks" 1;
+          Rv_obs.Counter.count "explore.walk_ports" s.len
+        end;
+        r.walk <- s.ports;
+        r.next <- s.first;
+        r.stop <- s.first + s.len
+      end;
+      let i = r.next in
+      if i < r.stop then begin
+        r.next <- i + 1;
+        move r.walk.(i)
+      end
+      else Wait
   in
   make ~name ~bound ~fresh
+
+let whole ports = { ports; first = 0; len = Array.length ports }
+
+let of_walk_factory ~name ~bound factory =
+  of_slices ~name ~bound (fun () -> whole (Array.of_list (factory ())))
+
+let of_map_walks ~name ~bound g walk ~start =
+  let position = ref start in
+  (* The last walk computed: its start, its ports and its last node. *)
+  let from = ref (-1) and ports = ref (whole [||]) and last = ref start in
+  of_slices ~name ~bound (fun () ->
+      if !position <> !from then begin
+        let w = walk ~start:!position in
+        ports := whole (Array.of_list w);
+        last := Rv_graph.Walk.final g ~start:!position w;
+        from := !position
+      end;
+      position := !last;
+      !ports)
 
 let idle ~bound = make ~name:"idle" ~bound ~fresh:(fun () _ -> Wait)
 

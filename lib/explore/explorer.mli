@@ -20,7 +20,12 @@
     The contract, verified for every implementation by {!Bounds}:
     an instance is stepped exactly [bound] times; by the end, every node of
     the graph has been visited at some round; actions with out-of-range
-    ports are errors. *)
+    ports are errors.
+
+    Map-based procedures ({!Ham_walk}, {!Map_dfs}, {!Euler_walk}) compile
+    the map into port arrays once per graph and replay a slice of one per
+    execution through {!of_slices}; the position they track stays inside
+    the explorer value.  No round after an execution's first allocates. *)
 
 type observation = {
   degree : int;  (** degree of the current node *)
@@ -44,11 +49,39 @@ type t = private {
 val make : name:string -> bound:int -> fresh:(unit -> instance) -> t
 (** Raises [Invalid_argument] if [bound < 0]. *)
 
+val move : int -> action
+(** [move p] is [Move p].  Ports below 2048 share one preallocated value
+    each, so an explorer that answers through [move] allocates nothing per
+    round. *)
+
+type slice = { ports : int array; first : int; len : int }
+(** The walk [ports.(first)], ..., [ports.(first + len - 1)]. *)
+
+val of_slices : name:string -> bound:int -> (unit -> slice) -> t
+(** The replay primitive.  Each execution fetches its slice on its first
+    step (so the fetch can read and advance a tracked position), moves
+    through the slice's ports, then waits out the remaining rounds.  Only
+    the first step allocates.  Raises [Invalid_argument] at run time if a
+    slice is longer than [bound]. *)
+
 val of_walk_factory : name:string -> bound:int -> (unit -> int list) -> t
-(** An explorer that replays a precomputed port walk (recomputed by the
-    factory at the start of each execution, so it can depend on tracked
-    position), then waits out the remaining rounds.  Raises
-    [Invalid_argument] at run time if a walk is longer than [bound]. *)
+(** {!of_slices} over the whole of each walk the factory returns; the
+    factory is called on the first step of each execution. *)
+
+val of_map_walks :
+  name:string ->
+  bound:int ->
+  Rv_graph.Port_graph.t ->
+  (start:int -> int list) ->
+  start:int ->
+  t
+(** [of_map_walks ~name ~bound g walk ~start] tracks the agent's position
+    on the map of [g], beginning at [start].  Each execution replays
+    [walk ~start:p] from the tracked position [p] and moves the position
+    to that walk's last node.  The explorer keeps its last walk and
+    reuses it while the position repeats, so a walk that returns to its
+    start is computed once per explorer, not once per execution.  Walks
+    are never shared between explorers. *)
 
 val idle : bound:int -> t
 (** Waits for [bound] rounds.  Not a valid exploration (covers nothing);

@@ -8,5 +8,10 @@
     execution. *)
 
 val make : Rv_graph.Port_graph.t -> cycle:int list -> start:int -> Explorer.t
-(** Raises [Invalid_argument] if the certificate fails
-    [Rv_graph.Hamilton.check]. *)
+(** Build the family once per graph, [make g ~cycle], then apply it per
+    start.  The partial application checks the certificate and compiles
+    the cycle's ports, twice around, into one array; each execution
+    replays [n - 1] of them from the tracked cycle index.  Raises
+    [Invalid_argument] there if the certificate fails
+    [Rv_graph.Hamilton.check], and when applied to a start that is not a
+    node. *)

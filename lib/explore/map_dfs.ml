@@ -5,20 +5,11 @@ let bound_returning ~n = (2 * n) - 2
 
 let bound_non_returning ~n = max 1 ((2 * n) - 3)
 
-let with_tracked_position ~name ~bound g ~start walk_of =
-  let position = ref start in
-  Explorer.of_walk_factory ~name ~bound (fun () ->
-      let from = !position in
-      let walk = walk_of from in
-      position := Walk.final g ~start:from walk;
-      walk)
+let returning g =
+  let bound = bound_returning ~n:(Pg.n g) in
+  fun ~start -> Explorer.of_map_walks ~name:"map-dfs" ~bound g (Walk.dfs g) ~start
 
-let returning g ~start =
-  let n = Pg.n g in
-  with_tracked_position ~name:"map-dfs" ~bound:(bound_returning ~n) g ~start
-    (fun from -> Walk.dfs g ~start:from)
-
-let non_returning g ~start =
-  let n = Pg.n g in
-  with_tracked_position ~name:"map-dfs-nr" ~bound:(bound_non_returning ~n) g ~start
-    (fun from -> Walk.dfs_no_return g ~start:from)
+let non_returning g =
+  let bound = bound_non_returning ~n:(Pg.n g) in
+  fun ~start ->
+    Explorer.of_map_walks ~name:"map-dfs-nr" ~bound g (Walk.dfs_no_return g) ~start

@@ -3,7 +3,7 @@
     most 2n - 3").
 
     The agent holds the map and tracks its position across executions, so
-    each execution of [EXPLORE] recomputes a DFS walk from wherever the
+    each execution of [EXPLORE] replays a DFS walk from wherever the
     previous one ended.  Two variants:
 
     - {!returning}: the walk backtracks all the way, ending where it
@@ -13,8 +13,16 @@
       tracked position advances to the walk's endpoint. *)
 
 val returning : Rv_graph.Port_graph.t -> start:int -> Explorer.t
+(** Build the family once per graph, [returning g], then apply it per
+    start.  Nothing is checked.  Each explorer computes its walk
+    ({!Rv_graph.Walk.dfs}) on its first execution's first step and
+    replays that one port array in every execution, since the walk ends
+    where it began. *)
 
 val non_returning : Rv_graph.Port_graph.t -> start:int -> Explorer.t
+(** As {!returning}, with {!Rv_graph.Walk.dfs_no_return}.  The position
+    moves, so an execution recomputes the walk whenever it starts from a
+    node other than the previous execution's. *)
 
 val bound_returning : n:int -> int
 (** [2n - 2]. *)

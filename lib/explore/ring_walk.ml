@@ -1,6 +1,7 @@
 let fixed_port ~name ~n port =
   if n < 3 then invalid_arg (name ^ ": need n >= 3");
-  Explorer.make ~name ~bound:(n - 1) ~fresh:(fun () _ -> Explorer.Move port)
+  let step = Explorer.move port in
+  Explorer.make ~name ~bound:(n - 1) ~fresh:(fun () _ -> step)
 
 let clockwise ~n = fixed_port ~name:"ring-clockwise" ~n 0
 

@@ -8,7 +8,7 @@ let make (u : Uxs.t) =
         let a = terms.(!i) in
         incr i;
         let q = match obs.entry with None -> 0 | Some q -> q in
-        Explorer.Move ((q + a) mod obs.degree)
+        Explorer.move ((q + a) mod obs.degree)
       end
   in
   Explorer.make

@@ -53,7 +53,7 @@ let dfs_no_return g ~start =
 let port_to g u v =
   let rec scan p =
     if p >= Port_graph.degree g u then
-      invalid_arg (Printf.sprintf "Walk.from_cycle: no edge %d -- %d" u v)
+      invalid_arg (Printf.sprintf "Walk.port_to: no edge %d -- %d" u v)
     else if Port_graph.neighbor g u p = v then p
     else scan (p + 1)
   in

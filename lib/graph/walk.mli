@@ -31,6 +31,10 @@ val dfs_no_return : Port_graph.t -> start:int -> t
     not walk back to [start] from the final branch); length
     [<= 2n - 3] for [n >= 2].  The endpoint is {!final}. *)
 
+val port_to : Port_graph.t -> int -> int -> int
+(** [port_to g u v] is the smallest port at [u] leading to [v].  Raises
+    [Invalid_argument] if [u] and [v] are not adjacent. *)
+
 val from_cycle : Port_graph.t -> cycle:int list -> start:int -> t
 (** Given a Hamiltonian cycle certificate (a list of the [n] nodes in cycle
     order), the walk of [n - 1] ports that follows the cycle from [start]

@@ -71,6 +71,27 @@ let test_worst_for_flags_failure () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "idle explorer cannot rendezvous"
 
+(* Both agents must run an EXPLORE with the same bound E.  An explorer
+   whose bound depends on its start breaks that for some position pairs,
+   and every dispatch path must refuse it the same way. *)
+let test_worst_for_mixed_bounds () =
+  let n = 6 in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer ~start =
+    if start = 0 then Rv_explore.Ring_walk.clockwise ~n
+    else Rv_explore.Map_dfs.returning g ~start
+  in
+  List.iter
+    (fun dispatch ->
+      Alcotest.check_raises "different bounds refused"
+        (Invalid_argument
+           "Rendezvous.run: the two agents' explorers declare different bounds E")
+        (fun () ->
+          ignore
+            (W.worst_for ~dispatch ~g ~algorithm:R.Fast ~space:4 ~explorer
+               ~pairs:[ (1, 2) ] ~positions:`All_pairs ~delays:[ (0, 0) ] ())))
+    [ `Fast; `Reference; `Auto ]
+
 (* ------------------------------------------------------------------- Spec *)
 
 let parse_ok spec =
@@ -301,6 +322,19 @@ let test_exp_m_small () =
       Alcotest.(check bool) "within E" true (int_of_string (List.nth row 1) <= 15))
     t.Table.rows
 
+(* [rv exp --all] is deterministic; every table it prints is pinned byte
+   for byte, in the same layout. *)
+let test_exp_all_golden () =
+  let rendered =
+    String.concat ""
+      (List.map
+         (fun (_, t) -> Table.render_ascii t ^ "\n")
+         (Rv_experiments.Report.all ()))
+  in
+  Alcotest.(check string) "rv exp --all output"
+    (In_channel.with_open_bin "golden/exp_all.golden" In_channel.input_all)
+    rendered
+
 let test_exp_k_small () =
   let t = Rv_experiments.Exp_k.table ~n:8 () in
   Alcotest.(check bool) "no failures" true (no_fail_cell t);
@@ -324,6 +358,7 @@ let () =
           tc "ring_delays" test_ring_delays;
           tc "worst_for hand-checked" test_worst_for_agrees_with_bounds;
           tc "worst_for flags failure" test_worst_for_flags_failure;
+          tc "worst_for refuses mixed bounds" test_worst_for_mixed_bounds;
         ] );
       ( "spec",
         [
@@ -348,5 +383,6 @@ let () =
           tc "EXP-K async" test_exp_k_small;
           tc "EXP-L distance" test_exp_l_small;
           tc "EXP-M gathering" test_exp_m_small;
+          tc "every table pinned" test_exp_all_golden;
         ] );
     ]

@@ -271,6 +271,165 @@ let test_uxs_corpus_size_check () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized corpus graph accepted"
 
+(* ------------------------------------------------------------ Pinned walks *)
+
+(* Steps [executions] consecutive executions of [t] through [g] from
+   [start] and returns the exit ports of each. *)
+let execution_ports g (t : Ex.t) ~start ~executions =
+  let pos = ref start and entry = ref None in
+  let run () =
+    let inst = t.Ex.fresh () in
+    let ports = ref [] in
+    for _ = 1 to t.Ex.bound do
+      match inst { Ex.degree = Pg.degree g !pos; entry = !entry } with
+      | Ex.Wait -> entry := None
+      | Ex.Move p ->
+          let v, q = Pg.follow g !pos p in
+          pos := v;
+          entry := Some q;
+          ports := p :: !ports
+    done;
+    List.rev !ports
+  in
+  let rec go k =
+    if k = 0 then []
+    else
+      let ports = run () in
+      ports :: go (k - 1)
+  in
+  go executions
+
+let spec_family graph explorer =
+  let module Spec = Rv_experiments.Spec in
+  match Spec.parse_graph graph with
+  | Error e -> failwith e
+  | Ok gs -> (
+      match Spec.parse_explorer gs explorer with
+      | Ok make -> (graph, gs.Spec.g, make)
+      | Error e -> failwith e)
+
+let pinned_families () =
+  let torus = Rv_graph.Torus.make ~rows:3 ~cols:4 in
+  List.map
+    (fun graph -> spec_family graph "ham")
+    [ "torus:3x4"; "torus:4x5"; "hypercube:3"; "complete:5" ]
+  @ List.concat_map
+      (fun graph -> [ spec_family graph "dfs"; spec_family graph "dfs-nr" ])
+      [ "grid:3x4"; "petersen"; "tree:10"; "path:6"; "star:5"; "scrambled-ring:8" ]
+  @ [
+      ("torus:3x4", torus, Rv_explore.Euler_walk.closed torus);
+      ("torus:3x4", torus, Rv_explore.Euler_walk.truncated torus);
+    ]
+
+(* The ports of the first three executions from every start, one line per
+   start: "start: ports | ports | ports". *)
+let render_walks () =
+  let buf = Buffer.create 8192 in
+  List.iter
+    (fun (graph, g, make) ->
+      let e = make ~start:0 in
+      Printf.bprintf buf "%s %s E=%d\n" e.Ex.name graph e.Ex.bound;
+      for start = 0 to Pg.n g - 1 do
+        let execs = execution_ports g (make ~start) ~start ~executions:3 in
+        Printf.bprintf buf "  %d: %s\n" start
+          (String.concat " | "
+             (List.map (fun ports -> String.concat " " (List.map string_of_int ports)) execs))
+      done)
+    (pinned_families ());
+  Buffer.contents buf
+
+let test_walks_golden () =
+  Alcotest.(check string) "every execution's ports are pinned"
+    (In_channel.with_open_bin "golden/explore_walks.golden" In_channel.input_all)
+    (render_walks ())
+
+(* The Hamiltonian certificate of [any_graph seed], where its family has
+   one. *)
+let ham_certificate seed g =
+  match seed mod 8 with
+  | 0 -> Some (Rv_graph.Ring.clockwise_cycle (Pg.n g))
+  | 4 -> Some (Rv_graph.Hypercube.hamiltonian_cycle ~dim:(2 + (seed mod 2)))
+  | 5 -> Some (Rv_graph.Complete_graph.hamiltonian_cycle (Pg.n g))
+  | _ -> None
+
+(* The list walks of Rv_graph are the reference: execution k replays the
+   reference walk from the node where execution k - 1 ended. *)
+let prop_matches_list_walks =
+  qtest "map explorers replay the list reference walks"
+    QCheck.(triple (int_bound 10_000) (int_bound 1_000) (int_range 1 4))
+    (fun (seed, s, executions) ->
+      let g = any_graph seed in
+      let start = s mod Pg.n g in
+      let agrees make reference =
+        let rec expected from k =
+          if k = 0 then []
+          else
+            let walk = reference ~start:from in
+            walk :: expected (Rv_graph.Walk.final g ~start:from walk) (k - 1)
+        in
+        List.equal (List.equal Int.equal)
+          (execution_ports g (make ~start) ~start ~executions)
+          (expected start executions)
+      in
+      agrees (Rv_explore.Map_dfs.returning g) (Rv_graph.Walk.dfs g)
+      && agrees (Rv_explore.Map_dfs.non_returning g) (Rv_graph.Walk.dfs_no_return g)
+      && ((not (Rv_graph.Euler.is_eulerian g))
+         || agrees (Rv_explore.Euler_walk.closed g) (Rv_graph.Euler.circuit g)
+            && agrees (Rv_explore.Euler_walk.truncated g) (Rv_graph.Euler.circuit_no_return g))
+      &&
+      match ham_certificate seed g with
+      | None -> true
+      | Some cycle ->
+          agrees (Rv_explore.Ham_walk.make g ~cycle) (fun ~start ->
+              Rv_graph.Walk.from_cycle g ~cycle ~start))
+
+(* -------------------------------------------------------------- Allocation *)
+
+(* The observations one execution of [t] from [start] sees, recorded so
+   that an identical execution can be stepped without building any. *)
+let recorded_observations g (t : Ex.t) ~start =
+  let inst = t.Ex.fresh () in
+  let pos = ref start and entry = ref None in
+  Array.init t.Ex.bound (fun _ ->
+      let obs = { Ex.degree = Pg.degree g !pos; entry = !entry } in
+      (match inst obs with
+      | Ex.Wait -> entry := None
+      | Ex.Move p ->
+          let v, q = Pg.follow g !pos p in
+          pos := v;
+          entry := Some q);
+      obs)
+
+(* The first step of an execution fetches its walk; every later round
+   must not touch the minor heap. *)
+let test_steps_allocate_nothing () =
+  let torus = Rv_graph.Torus.make ~rows:3 ~cols:4 in
+  let cycle = Rv_graph.Torus.hamiltonian_cycle ~rows:3 ~cols:4 in
+  let grid = Rv_graph.Grid.make ~rows:3 ~cols:4 in
+  let ring = Rv_graph.Ring.oriented 8 in
+  let uxs = Lazy.force small_uxs in
+  let cases =
+    [
+      ("ham", torus, Rv_explore.Ham_walk.make torus ~cycle);
+      ("dfs", grid, Rv_explore.Map_dfs.returning grid);
+      ("euler", torus, Rv_explore.Euler_walk.closed torus);
+      ("ring", ring, fun ~start -> ignore start; Rv_explore.Ring_walk.clockwise ~n:8);
+      ("uxs", ring, fun ~start -> ignore start; Rv_explore.Uxs_walk.make uxs);
+    ]
+  in
+  List.iter
+    (fun (name, g, make) ->
+      let obs = recorded_observations g (make ~start:1) ~start:1 in
+      let inst = (make ~start:1).Ex.fresh () in
+      ignore (inst obs.(0));
+      let before = Gc.minor_words () in
+      for r = 1 to Array.length obs - 1 do
+        ignore (Sys.opaque_identity (inst obs.(r)))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) (name ^ ": minor words after the first step") 0. words)
+    cases
+
 (* ------------------------------------------------------------------ Bounds *)
 
 let prop_measured_le_declared =
@@ -322,4 +481,6 @@ let () =
           tc "corpus size check" test_uxs_corpus_size_check;
         ] );
       ("bounds", [ prop_measured_le_declared ]);
+      ("golden", [ tc "explore walks" test_walks_golden; prop_matches_list_walks ]);
+      ("allocation", [ tc "steps allocate nothing" test_steps_allocate_nothing ]);
     ]
