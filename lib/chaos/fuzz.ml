@@ -53,7 +53,7 @@ let max_size = 64
 let known_family f =
   String.equal f "ring" || String.equal f "path" || String.equal f "star"
 
-let algorithms = [| "cheap"; "fast"; "fwr:2" |]
+let algorithms = [| "cheap"; "fast"; "fwr:2"; "cheap-sim"; "fast-sim"; "fwr-sim:2" |]
 
 let known_algorithm a = Array.exists (String.equal a) algorithms
 

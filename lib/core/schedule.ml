@@ -17,14 +17,14 @@ let traversal_budget t =
 let explorations t =
   List.fold_left (fun acc -> function Explore _ -> acc + 1 | Pause _ -> acc) 0 t
 
-type cursor =
-  | Idle
-  | Pausing of int  (* rounds left to wait *)
-  | Exploring of Ex.instance * int  (* live instance, rounds left *)
+(* Stands in for an explorer instance during a pause. *)
+let idle : Ex.instance = fun _ -> Ex.Wait
 
 let to_instance t =
   let remaining = ref t in
-  let cursor = ref Idle in
+  (* The current step: [inst] answers the next [left] rounds ([idle]
+     for a pause).  Mutable, so no round allocates. *)
+  let inst = ref idle and left = ref 0 in
   (* Deep-mode observability: one span per schedule phase on the calling
      agent's lane.  [phase_open] tracks whether we owe an [end_span]; the
      final phase of a run that meets mid-phase is auto-closed by
@@ -37,42 +37,44 @@ let to_instance t =
     end
   in
   let open_phase name cat args =
-    if Rv_obs.Obs.deep () then begin
-      close_phase ();
-      Rv_obs.Obs.begin_span ~cat ~args name;
-      phase_open := true
-    end
+    close_phase ();
+    Rv_obs.Obs.begin_span ~cat ~args name;
+    phase_open := true
   in
-  let rec step obs =
-    match !cursor with
-    | Exploring (inst, left) when left > 0 ->
-        cursor := Exploring (inst, left - 1);
-        inst obs
-    | Pausing left when left > 0 ->
-        cursor := Pausing (left - 1);
-        Ex.Wait
-    | Idle | Exploring (_, _) | Pausing _ -> (
-        (* Current step exhausted (or none yet): advance. *)
-        match !remaining with
-        | [] ->
-            close_phase ();
-            Ex.Wait
-        | Pause k :: rest ->
-            remaining := rest;
-            cursor := Pausing k;
-            open_phase "pause" "sim" [ ("rounds", Rv_obs.Json.Int k) ];
-            step obs
-        | Explore e :: rest ->
-            remaining := rest;
-            if e.Ex.bound = 0 then step obs
-            else begin
-              cursor := Exploring (e.Ex.fresh (), e.Ex.bound);
-              open_phase
-                ("explore:" ^ e.Ex.name)
-                "explore"
-                [ ("bound", Rv_obs.Json.Int e.Ex.bound) ];
-              step obs
-            end)
+  let open_pause k =
+    if Rv_obs.Obs.deep () then open_phase "pause" "sim" [ ("rounds", Rv_obs.Json.Int k) ]
+  in
+  let open_explore e =
+    if Rv_obs.Obs.deep () then
+      open_phase ("explore:" ^ e.Ex.name) "explore" [ ("bound", Rv_obs.Json.Int e.Ex.bound) ]
+  in
+  let step obs =
+    (* Advance past exhausted steps (or into the first one). *)
+    let pending = ref true in
+    while !left = 0 && !pending do
+      match !remaining with
+      | [] -> pending := false
+      | Pause k :: rest ->
+          remaining := rest;
+          inst := idle;
+          left := k;
+          open_pause k
+      | Explore e :: rest ->
+          remaining := rest;
+          if e.Ex.bound > 0 then begin
+            inst := e.Ex.fresh ();
+            left := e.Ex.bound;
+            open_explore e
+          end
+    done;
+    if !left > 0 then begin
+      decr left;
+      !inst obs
+    end
+    else begin
+      close_phase ();
+      Ex.Wait
+    end
   in
   step
 

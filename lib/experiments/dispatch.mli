@@ -34,9 +34,9 @@ type features = {
   configs : int;  (** configurations (pair x position x delay cells) *)
   build_rounds : int;
       (** total {e active} (explore) rounds across the distinct
-          (label, start) trajectories the sweep would materialize —
-          waiting segments are an [Array.fill] in
-          {!Rv_sim.Traj.of_blocks} and cost nothing per round *)
+          (label, start) trajectories the sweep would materialize — a
+          pause is one segment in {!Rv_sim.Traj.of_blocks} and costs
+          nothing per round *)
   probe_rounds : int;  (** [rounds_run] of the probe configuration *)
 }
 

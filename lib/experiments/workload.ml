@@ -356,9 +356,9 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
                   (List.length (uniq fst expand), List.length (uniq snd expand))
             in
             (* Building a trajectory only pays per *active* round:
-               of_blocks materializes Pause segments with Array.fill, so
-               a label-scaled waiting schedule costs its Explore rounds
-               (the traversal budget), not its duration. *)
+               of_blocks stores only Run rounds and makes each pause one
+               segment, so a label-scaled waiting schedule costs its
+               Explore rounds (the traversal budget), not its duration. *)
             let active_of label =
               Rv_core.Schedule.traversal_budget
                 (R.schedule algorithm ~space ~label ~explorer:(explorer ~start:0))

@@ -4,11 +4,26 @@
     (graph, schedule, start): the agent is present from round 1, its
     step function sees only degrees and entry ports, and neither the
     partner nor the wake-up delay can influence it.  A {!t} is that walk
-    executed once and flattened into int arrays — per-round position,
-    port taken, and cumulative move count — so that an adversarial sweep
-    can replay it under every delay offset by scanning arrays with
+    executed once and flattened into int arrays, so that an adversarial
+    sweep can replay it under every delay offset by scanning arrays with
     shifted indices instead of re-running the round-by-round simulator
     ({!Sim.run}) with its closure dispatch and observation allocation.
+
+    {b Representation: runs and segments.}  The rendezvous algorithms
+    spend most of their time waiting (Cheap's [2lE] pause, the pause
+    blocks of Fast and FWR), so a {!t} stores rounds only where the
+    agent runs an explorer.  Its timeline alternates between
+    {e segments}, maximal stretches where it is pinned at one node, and
+    {e runs}, maximal stretches of [Run] blocks.  Segment 0 holds round
+    0 (and, for the scan, the agent's sleep before it) plus any leading
+    wait; the last segment holds any trailing wait and every round after
+    the schedule.  Each run round is stored as a position, the port
+    taken ([-1] for a wait inside the run) and a cumulative move count;
+    each segment as one table row (first round, last round, move count,
+    offset of the run after it) and a node.  A walk of [R] run rounds in
+    [k] runs therefore costs [3R + 5(k + 1)] words, whatever its
+    duration: Cheap on ring:128 with label 4096 stores 254 rounds of a
+    ~1.04 M-round schedule.
 
     {!meet} reproduces {!Sim.run}'s outcome exactly for the waiting
     model (same meeting round, node, costs, crossings and round cap
@@ -18,30 +33,30 @@
 
     The {e parachute} model is served by {!meet_intervals}: the walks
     themselves are model-independent ({!Sim}'s agents wait until their
-    wake round in both models, so position and port arrays are
-    identical), and parachute presence only gates {e detection} — both
-    agents are present exactly from round [max delay_a delay_b + 1]
-    onwards.  The parachute scan is therefore the waiting scan with the
-    detection window opened at that boundary instead of at round 1
-    (see DESIGN.md §3.6). *)
+    wake round in both models, so positions and ports are identical),
+    and parachute presence only gates {e detection} — both agents are
+    present exactly from round [max delay_a delay_b + 1] onwards.  The
+    parachute scan is therefore the waiting scan with the detection
+    window opened at that boundary instead of at round 1 (see DESIGN.md
+    §3.5). *)
 
 type t = private {
-  start : int;  (** starting node; [pos.(0)] *)
+  start : int;  (** starting node *)
   rounds : int;
-      (** materialized rounds — the schedule's duration; the agent
-          waits at [pos.(rounds)] forever afterwards *)
-  first_move : int;
-      (** first round with a port taken, [rounds + 1] if the agent never
-          moves.  The scan in {!meet} uses it to skip the wait prefix —
-          for the label-scaled rendezvous schedules that prefix is the
-          bulk of the walk — in O(1). *)
-  pos : int array;  (** length [rounds + 1]; [pos.(r)] = node after round [r] *)
-  port : int array;
-      (** length [rounds + 1]; [port.(r)] = port taken in round [r],
-          [-1] for a wait; [port.(0) = -1] *)
+      (** the schedule's duration; the agent waits at its final node
+          forever afterwards *)
+  pos : int array;
+      (** one entry per stored (run) round, in round order: the node
+          after that round *)
+  port : int array;  (** per stored round: the port taken, [-1] for a wait *)
   moves : int array;
-      (** length [rounds + 1]; prefix sums — [moves.(r)] = edge
-          traversals in rounds [1..r], so cost-at-round is O(1) *)
+      (** per stored round: edge traversals up to and including it *)
+  segs : int array;
+      (** the segment table, four ints per segment: first round, last
+          round ([max_int] for the last segment), move count, and the
+          offset [base] such that round [r] of the run after the segment
+          is stored at index [r + base] *)
+  seg_node : int array;  (** per segment: the node the agent is pinned at *)
 }
 
 val of_schedule :
@@ -53,8 +68,9 @@ val of_schedule :
 (** [of_schedule ~g ~start ~rounds step] steps [step] (a fresh
     {!Rv_core.Schedule.to_instance}-style stepper, i.e. an undelayed
     agent program starting in round 1) for exactly [rounds] rounds from
-    [start] and records the walk.  Raises [Invalid_argument] on an
-    out-of-range port, like {!Sim.run}. *)
+    [start] and records the walk: [of_blocks] on one [Run] block, so
+    every round is stored.  Raises [Invalid_argument] on an out-of-range
+    port, like {!Sim.run}. *)
 
 type block =
   | Still of int  (** the agent waits in place this many rounds ([>= 0]) *)
@@ -71,27 +87,31 @@ val observations : Rv_graph.Port_graph.t -> observations
 
 val of_blocks :
   ?obs:observations -> g:Rv_graph.Port_graph.t -> start:int -> block list -> t
-(** Block-structured constructor, equivalent to {!of_schedule} on the
-    concatenated rounds but much cheaper when the schedule's shape is
-    known: a [Still] block is materialized with [Array.fill] (no
-    per-round dispatch — and the leading wait prefix of the label-scaled
-    rendezvous schedules costs nothing at all, because the arrays are
-    already initialized to the resting state).  [Run] blocks step their
-    instance exactly like {!of_schedule}.  This is what the sweep fast
-    path feeds {!Rv_core.Schedule.t} steps into.  [obs] (built from [g]
-    itself, else [Invalid_argument]) shares one observation table across
-    builds; without it each call builds its own. *)
+(** Block-structured constructor, round for round equal to
+    {!of_schedule} on the concatenated rounds ({!pos_at}, {!port_at} and
+    {!cost_at} agree on every round) but costing O(run rounds + blocks)
+    instead of O(duration): [Run] blocks step their instance and store
+    each round, and a [Still] block only extends a segment.  Adjacent
+    [Still] blocks share one segment, and zero-length blocks of either
+    kind merge away.  This is what the sweep fast path feeds
+    {!Rv_core.Schedule.t} steps into.  [obs] (built from [g] itself,
+    else [Invalid_argument]) shares one observation table across builds;
+    without it each call builds its own. *)
+
+val stored : t -> int
+(** Rounds and segments held: the run rounds plus one per segment.  This
+    is what {!Traj_cache} charges an entry against its budget. *)
 
 val same_ports : observations -> start:int -> block list -> t -> bool
 (** [same_ports obs ~start blocks t] is [true] iff [of_blocks ~start
-    blocks] on [obs]'s graph would take port [t.port.(r)] in every
-    round [r], computed without materializing that walk: the
-    round counts are compared first, the blocks are then stepped from
-    [start] and the first differing port ends the walk, and a [Still]
-    block is checked in O(1) as [t] waiting through it
-    ([t.moves] flat).  No allocation per round.  Steps agents through
-    the same per-round code as {!of_blocks}, so an invalid port raises
-    the same [Invalid_argument].
+    blocks] on [obs]'s graph would take port [port_at t r] in every
+    round [r], computed without materializing that walk: the round
+    counts are compared first, the blocks are then stepped from [start]
+    and the first differing port ends the walk, and a [Still] block is
+    checked against [t]'s segment table in O(1) (amortized) as [t]'s
+    move count staying flat through it.  No allocation per round.
+    Steps agents through the same per-round code as {!of_blocks}, so an
+    invalid port raises the same [Invalid_argument].
 
     This is the equivariance check of a symmetry-reduced sweep: if
     [phi] is a port-preserving automorphism ({!Rv_graph.Symmetry}),
@@ -100,22 +120,27 @@ val same_ports : observations -> start:int -> block list -> t -> bool
     [phi 0], then that walk is exactly [image phi t]. *)
 
 val image : int array -> t -> t
-(** [image phi t] is [t] with every position mapped through [phi] (and
-    [start] with it); the [port] and [moves] arrays are shared, not
-    copied.  When [phi] is a port-preserving automorphism and the walk
-    from [phi t.start] takes [t]'s ports ({!same_ports}), this is
-    field-for-field what {!of_blocks} builds from [phi t.start]: equal
-    ports through [phi] force [pos' = phi ∘ pos] by induction, with the
-    same [moves].  The caller owns that precondition. *)
+(** [image phi t] is [t] with every stored position and segment node
+    mapped through [phi] (and [start] with it); [port], [moves] and the
+    segment table are shared, not copied.  When [phi] is a
+    port-preserving automorphism and the walk from [phi t.start] takes
+    [t]'s ports ({!same_ports}), this is round for round what
+    {!of_blocks} builds from [phi t.start]: equal ports through [phi]
+    force [pos' = phi ∘ pos] by induction, with the same [moves].  The
+    caller owns that precondition. *)
 
 val pos_at : t -> int -> int
-(** [pos_at t r] is the node after [r] of the agent's own rounds,
-    clamped into [0..t.rounds] (before round 1 the agent is at [start];
-    after [t.rounds] it waits in place forever). *)
+(** [pos_at t r] is the node after [r] of the agent's own rounds: [start]
+    for [r <= 0], the final node after [t.rounds].  O(segments); the
+    scan does not use it. *)
+
+val port_at : t -> int -> int
+(** [port_at t r] is the port taken in round [r], [-1] for a wait and
+    for every [r <= 0] or past the schedule. *)
 
 val cost_at : t -> int -> int
 (** [cost_at t r] is the number of edge traversals in the agent's first
-    [r] rounds, clamped like {!pos_at}. *)
+    [r] rounds (0 for [r <= 0], the total after [t.rounds]). *)
 
 type meeting = {
   met : bool;
@@ -133,10 +158,15 @@ type meeting = {
 val meet : a:t -> b:t -> delay_a:int -> delay_b:int -> max_rounds:int -> meeting
 (** [meet ~a ~b ~delay_a ~delay_b ~max_rounds] finds the first meeting
     of the two trajectories under the given wake-up delays in the
-    waiting model, by scanning the position arrays with shifted indices:
-    agent [a]'s position in absolute round [r] is [pos_at a (r - delay_a)].
-    Same-node meetings and unnoticed edge crossings are detected from
-    the positions at rounds [r - 1] and [r], exactly as {!Sim.run} does.
+    waiting model, by walking both agents' segments and runs shifted by
+    their delays: agent [a]'s position in absolute round [r] is
+    [pos_at a (r - delay_a)].  A window where both agents are pinned is
+    settled in O(1), one where a single agent runs is a scan of its
+    stored positions for the other's node, and only windows where both
+    run compare positions and ports round by round.  Same-node meetings
+    and unnoticed edge crossings are detected from the positions at
+    rounds [r - 1] and [r], exactly as {!Sim.run} does.  Nothing is
+    allocated per round or per segment.
 
     Delays follow {!Sim.run}'s convention: arbitrary non-negative delays
     are accepted, the common [min delay] prefix is silent, and reported

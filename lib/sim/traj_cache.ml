@@ -3,14 +3,14 @@
    hashing of structured keys), and lives in Domain.DLS so each engine
    worker owns its table outright.
 
-   Memory is bounded per domain: trajectories of long schedules (Cheap
-   at large L runs to O(L*E) rounds) would otherwise accumulate to
-   gigabytes across a sweep's label/start cross product.  A
-   second-chance scheme keeps two generations — when the current
-   table's retained rounds exceed the budget it becomes the previous
-   generation (dropping the one before it), and entries still being
-   touched are promoted back on access — so hot walks survive rotation
-   while cold ones are reclaimed by the GC.  Eviction is invisible to
+   Memory is bounded per domain, or a sweep's label/start cross product
+   would accumulate without limit.  Each entry is charged what it stores
+   (Traj.stored: run rounds plus one per segment, so Cheap's O(L*E)
+   pause costs one).  A second-chance scheme keeps two generations —
+   when the current table's charge exceeds the budget it becomes the
+   previous generation (dropping the one before it), and entries still
+   being touched are promoted back on access — so hot walks survive
+   rotation while cold ones are reclaimed by the GC.  Eviction is invisible to
    results: builds are pure, so a rebuild returns the same arrays. *)
 module Tbl = Hashtbl.Make (struct
   type t = int * int
@@ -58,7 +58,7 @@ let create ?(budget_rounds = default_budget_rounds) ~build () =
 
 let add_current ctx slot key t =
   Tbl.add slot.cur key t;
-  slot.cur_rounds <- slot.cur_rounds + t.Traj.rounds + 1;
+  slot.cur_rounds <- slot.cur_rounds + Traj.stored t;
   if slot.cur_rounds > ctx.budget then begin
     slot.prev <- slot.cur;
     slot.cur <- Tbl.create 64;

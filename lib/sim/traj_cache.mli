@@ -14,8 +14,10 @@
     fresh {!create} invalidates the tables of every domain on first
     access, so at most one sweep's trajectories are retained per domain.
 
-    Memory is bounded per domain by [budget_rounds] (total materialized
-    rounds, ~24 bytes each) with a two-generation second-chance scheme:
+    Memory is bounded per domain by [budget_rounds], counted in what the
+    entries store ({!Traj.stored}: each run round, ~24 bytes, plus one
+    per segment, ~40 bytes — a pause costs one however long it is),
+    with a two-generation second-chance scheme:
     entries accessed since the last rotation survive the next one, cold
     entries are dropped and rebuilt on demand — eviction never changes
     results, because builds are pure.
@@ -31,7 +33,7 @@ val create :
 (** A new cache generation around [build].  [build] must be pure and
     safe to call from any domain (it only reads immutable inputs).
     [budget_rounds] (default 2_000_000, ~50 MB per domain) caps the
-    retained rounds per generation; clamped to at least 1.
+    stored rounds and segments per generation; clamped to at least 1.
 
     [build] may itself call {!get} on the context it belongs to, for a
     different key — a symmetry-reduced sweep derives the walk from start

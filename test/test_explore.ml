@@ -385,12 +385,11 @@ let prop_matches_list_walks =
 
 (* -------------------------------------------------------------- Allocation *)
 
-(* The observations one execution of [t] from [start] sees, recorded so
-   that an identical execution can be stepped without building any. *)
-let recorded_observations g (t : Ex.t) ~start =
-  let inst = t.Ex.fresh () in
+(* The observations [rounds] steps of [inst] from [start] see, recorded
+   so that an identical run can be stepped without building any. *)
+let observations_of g (inst : Ex.instance) ~rounds ~start =
   let pos = ref start and entry = ref None in
-  Array.init t.Ex.bound (fun _ ->
+  Array.init rounds (fun _ ->
       let obs = { Ex.degree = Pg.degree g !pos; entry = !entry } in
       (match inst obs with
       | Ex.Wait -> entry := None
@@ -399,6 +398,10 @@ let recorded_observations g (t : Ex.t) ~start =
           pos := v;
           entry := Some q);
       obs)
+
+(* The same for one execution of [t]. *)
+let recorded_observations g (t : Ex.t) ~start =
+  observations_of g (t.Ex.fresh ()) ~rounds:t.Ex.bound ~start
 
 (* The first step of an execution fetches its walk; every later round
    must not touch the minor heap. *)
@@ -429,6 +432,39 @@ let test_steps_allocate_nothing () =
       let words = Gc.minor_words () -. before in
       Alcotest.(check (float 0.)) (name ^ ": minor words after the first step") 0. words)
     cases
+
+(* The schedule stepper keeps its step and rounds left in mutable state:
+   a block's first round may start an explorer instance, but no later
+   round of a pause, an exploration or the rest after the schedule
+   allocates. *)
+let test_schedule_steps_allocate_nothing () =
+  let module Sched = Rv_core.Schedule in
+  let ring = Rv_graph.Ring.oriented 8 in
+  let e = Rv_explore.Ring_walk.clockwise ~n:8 in
+  let sched = Sched.[ Pause 40; Explore e; Pause 30; Explore e; Pause 0 ] in
+  let rounds = Sched.duration sched + 20 in
+  let obs = observations_of ring (Sched.to_instance sched) ~rounds ~start:1 in
+  (* The first round of each block: one past the rounds before it. *)
+  let opens =
+    snd
+      (List.fold_left
+         (fun (at, acc) step ->
+           let k = match step with Sched.Pause k -> k | Sched.Explore e -> e.Ex.bound in
+           (at + k, (at + 1) :: acc))
+         (0, []) sched)
+  in
+  let inst = Sched.to_instance sched in
+  let words = ref 0 in
+  Array.iteri
+    (fun i o ->
+      if List.mem (i + 1) opens then ignore (inst o)
+      else begin
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (inst o));
+        words := !words + int_of_float (Gc.minor_words () -. before)
+      end)
+    obs;
+  Alcotest.(check int) "minor words after each block's first round" 0 !words
 
 (* ------------------------------------------------------------------ Bounds *)
 
@@ -482,5 +518,9 @@ let () =
         ] );
       ("bounds", [ prop_measured_le_declared ]);
       ("golden", [ tc "explore walks" test_walks_golden; prop_matches_list_walks ]);
-      ("allocation", [ tc "steps allocate nothing" test_steps_allocate_nothing ]);
+      ( "allocation",
+        [
+          tc "steps allocate nothing" test_steps_allocate_nothing;
+          tc "schedule steps allocate nothing" test_schedule_steps_allocate_nothing;
+        ] );
     ]

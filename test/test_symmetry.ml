@@ -287,8 +287,11 @@ let test_cache_reentrant_build () =
   Rv_sim.Traj_cache.reset_stats ();
   let check_walk id start (t : Rv_sim.Traj.t) =
     let w = walk ~start in
-    Alcotest.(check (array int)) (id ^ " pos") w.Rv_sim.Traj.pos t.Rv_sim.Traj.pos;
-    Alcotest.(check (array int)) (id ^ " port") w.Rv_sim.Traj.port t.Rv_sim.Traj.port;
+    for r = 0 to w.Rv_sim.Traj.rounds + 1 do
+      let at = Printf.sprintf "%s round %d" id r in
+      Alcotest.(check int) (at ^ " pos") (Rv_sim.Traj.pos_at w r) (Rv_sim.Traj.pos_at t r);
+      Alcotest.(check int) (at ^ " port") (Rv_sim.Traj.port_at w r) (Rv_sim.Traj.port_at t r)
+    done;
     Alcotest.(check int) (id ^ " start") start t.Rv_sim.Traj.start
   in
   (* Every insert rotates: the generation it lands in becomes the

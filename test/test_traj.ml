@@ -1,8 +1,9 @@
 (* Tests for the trajectory fast path (rv_sim Traj / Traj_cache): the
    materialized-walk meeting scan must reproduce the reference simulator
-   outcome field-for-field across graph families, algorithms and random
-   delay offsets; the block constructor must agree with the generic one;
-   crossings must be caught exactly at the wake boundary; and the
+   outcome field-for-field across graph families, algorithms, random
+   delay offsets and random block lists; the block constructor must
+   agree with the generic one round by round while storing only its run
+   rounds; crossings must be caught exactly at the wake boundary; and the
    per-domain cache must account hits, misses and eviction correctly. *)
 
 module Pg = Rv_graph.Port_graph
@@ -17,8 +18,13 @@ module W = Rv_experiments.Workload
 
 let tc name f = Alcotest.test_case name `Quick f
 
+let qtest ?(count = 300) name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
 (* Same three families as test_engine: oriented ring, grid (map DFS, so
-   the walk genuinely depends on the start), torus (Euler walk). *)
+   the walk genuinely depends on the start), torus (Euler walk) — plus
+   the non-returning DFS, whose walk is shorter than its bound E, so it
+   waits inside its Run blocks. *)
 let families () =
   let ring_n = 12 in
   let grid = Rv_graph.Grid.make ~rows:3 ~cols:4 in
@@ -33,6 +39,29 @@ let families () =
     ("torus:3x4", torus, fun ~start -> Rv_explore.Euler_walk.closed torus ~start);
   ]
 
+let dfs_nr () =
+  let grid = Rv_graph.Grid.make ~rows:3 ~cols:4 in
+  ("grid:3x4 dfs-nr", grid, fun ~start -> Rv_explore.Map_dfs.non_returning grid ~start)
+
+let delay_tolerant = [ R.Cheap; R.Fast; R.Fwr 2 ]
+let simultaneous = [ R.Cheap_simultaneous; R.Fast_simultaneous; R.Fwr_simultaneous 2 ]
+
+(* Family x algorithm cases, families outermost. *)
+let cases families algorithms =
+  List.concat_map
+    (fun (fam, g, explorer) ->
+      List.map (fun algorithm -> (fam, g, explorer, algorithm)) algorithms)
+    families
+
+let classic () = cases (families ()) delay_tolerant
+
+(* The simultaneous-start variants, whose schedules open with a pause, on
+   every family; and every algorithm on the non-returning DFS, whose walk
+   is shorter than its bound E, so it waits inside its Run blocks. *)
+let widened () =
+  cases (families () @ [ dfs_nr () ]) simultaneous
+  @ cases [ dfs_nr () ] delay_tolerant
+
 let blocks_of ~algorithm ~space ~explorer ~label ~start =
   List.map
     (function
@@ -43,45 +72,77 @@ let blocks_of ~algorithm ~space ~explorer ~label ~start =
 let traj_of ~g ~algorithm ~space ~explorer ~label ~start =
   Traj.of_blocks ~g ~start (blocks_of ~algorithm ~space ~explorer ~label ~start)
 
+(* The first round where two walks differ in position, port or cost,
+   over rounds 0..rounds+1 (one past the schedule, where both rest). *)
+let first_difference (want : Traj.t) (got : Traj.t) =
+  let rec go r =
+    if r > want.Traj.rounds + 1 then None
+    else if
+      Traj.pos_at want r <> Traj.pos_at got r
+      || Traj.port_at want r <> Traj.port_at got r
+      || Traj.cost_at want r <> Traj.cost_at got r
+    then Some r
+    else go (r + 1)
+  in
+  go 0
+
+let same_walk (want : Traj.t) (got : Traj.t) =
+  want.Traj.start = got.Traj.start
+  && want.Traj.rounds = got.Traj.rounds
+  && first_difference want got = None
+
 let check_same_traj id (want : Traj.t) (got : Traj.t) =
   Alcotest.(check int) (id ^ " start") want.Traj.start got.Traj.start;
   Alcotest.(check int) (id ^ " rounds") want.Traj.rounds got.Traj.rounds;
-  Alcotest.(check int) (id ^ " first_move") want.Traj.first_move got.Traj.first_move;
-  Alcotest.(check (array int)) (id ^ " pos") want.Traj.pos got.Traj.pos;
-  Alcotest.(check (array int)) (id ^ " port") want.Traj.port got.Traj.port;
-  Alcotest.(check (array int)) (id ^ " moves") want.Traj.moves got.Traj.moves
+  Alcotest.(check (option int)) (id ^ " first differing round") None (first_difference want got)
 
 (* ------------------------------------------------- constructor agreement *)
 
-let test_of_blocks_matches_of_schedule () =
+let test_of_blocks_matches_of_schedule cases () =
   List.iter
-    (fun (fam, g, explorer) ->
+    (fun (fam, g, explorer, algorithm) ->
+      let space = 16 in
       List.iter
-        (fun algorithm ->
-          let space = 16 in
+        (fun label ->
           List.iter
-            (fun label ->
-              List.iter
-                (fun start ->
-                  let sched =
-                    R.schedule algorithm ~space ~label ~explorer:(explorer ~start)
-                  in
-                  let generic =
-                    Traj.of_schedule ~g ~start ~rounds:(Sched.duration sched)
-                      (Sched.to_instance sched)
-                  in
-                  let blocks =
-                    traj_of ~g ~algorithm ~space ~explorer ~label ~start
-                  in
-                  let id =
-                    Printf.sprintf "%s %s l=%d s=%d" fam (R.name algorithm) label
-                      start
-                  in
-                  check_same_traj id generic blocks)
-                [ 0; 3; Pg.n g - 1 ])
-            [ 1; 5; 16 ])
-        [ R.Cheap; R.Fast; R.Fwr 2 ])
-    (families ())
+            (fun start ->
+              let sched = R.schedule algorithm ~space ~label ~explorer:(explorer ~start) in
+              let generic =
+                Traj.of_schedule ~g ~start ~rounds:(Sched.duration sched)
+                  (Sched.to_instance sched)
+              in
+              let blocks = traj_of ~g ~algorithm ~space ~explorer ~label ~start in
+              let id = Printf.sprintf "%s %s l=%d s=%d" fam (R.name algorithm) label start in
+              check_same_traj id generic blocks)
+            [ 0; 3; Pg.n g - 1 ])
+        [ 1; 5; 16 ])
+    (cases ())
+
+(* Pauses cost one segment, not their length: Cheap with label 4096 on
+   ring:128 runs (2l+2)E = 1,040,638 rounds, but only its two 127-round
+   explorations are stored.  A dense walk would allocate 3 words per
+   round, ~3.1 M words. *)
+let test_cheap_stores_run_rounds () =
+  let n = 128 and label = 4096 in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer ~start:_ = Rv_explore.Ring_walk.clockwise ~n in
+  let obs = Traj.observations g in
+  let blocks = blocks_of ~algorithm:R.Cheap ~space:label ~explorer ~label ~start:0 in
+  (* Small arrays land in the minor heap, large ones straight in the
+     major heap (major words that were not promoted). *)
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let t = Sys.opaque_identity (Traj.of_blocks ~obs ~g ~start:0 blocks) in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0) in
+  let e = n - 1 in
+  Alcotest.(check int) "duration" (((2 * label) + 2) * e) t.Traj.rounds;
+  Alcotest.(check int) "run rounds stored" (2 * e) (Array.length t.Traj.pos);
+  Alcotest.(check int) "stored: run rounds plus three segments" ((2 * e) + 3) (Traj.stored t);
+  if words > float_of_int (5 * 2 * e) then
+    Alcotest.failf "of_blocks allocated %.0f words for %d run rounds" words (2 * e);
+  Alcotest.(check int) "waits through the pause" (n - 1) (Traj.pos_at t (t.Traj.rounds / 2));
+  Alcotest.(check int) "final node" (2 * e mod n) (Traj.pos_at t (t.Traj.rounds + 5));
+  Alcotest.(check int) "cost" (2 * e) (Traj.cost_at t t.Traj.rounds)
 
 (* -------------------------------------------- property: meet == Sim.run *)
 
@@ -145,79 +206,46 @@ let check_meet_intervals_matches_run ~id ~g ~explorer ~algorithm ~space ~la ~lb
   Alcotest.(check int) (id ^ " rounds_run") out.Sim.rounds_run m.Traj.rounds_run;
   Alcotest.(check int) (id ^ " crossings") out.Sim.crossings m.Traj.crossings
 
-let test_meet_matches_sim_run () =
-  let rng = Rng.create ~seed:0x7247 in
+(* Twelve seeded draws per case: distinct labels, distinct starts, and
+   delays that span the interesting boundaries — simultaneous,
+   off-by-one, around E, and far beyond — with a nonzero common prefix
+   in roughly half the draws to exercise the normalization. *)
+let draw_cells ~seed ~model cases check =
+  let rng = Rng.create ~seed in
   let space = 16 in
   List.iter
-    (fun (fam, g, explorer) ->
+    (fun (fam, g, explorer, algorithm) ->
       let n = Pg.n g in
       let e = (explorer ~start:0).Ex.bound in
-      List.iter
-        (fun algorithm ->
-          for draw = 1 to 12 do
-            let la = 1 + Rng.int rng space in
-            let lb =
-              let l = 1 + Rng.int rng (space - 1) in
-              if l >= la then l + 1 else l
-            in
-            let pa = Rng.int rng n in
-            let pb =
-              let p = Rng.int rng (n - 1) in
-              if p >= pa then p + 1 else p
-            in
-            (* Delays span the interesting boundaries: simultaneous,
-               off-by-one, around E, and far beyond — with a nonzero
-               common prefix in roughly half the draws to exercise the
-               normalization. *)
-            let d () =
-              Rng.choose rng [| 0; 1; 2; e - 1; e; e + 1; (2 * e) + 2 |]
-            in
-            let shift = if Rng.bool rng then d () else 0 in
-            let da = d () + shift and db = d () + shift in
-            let id =
-              Printf.sprintf "%s %s draw%d (l %d/%d, s %d/%d, d %d/%d)" fam
-                (R.name algorithm) draw la lb pa pb da db
-            in
-            check_meet_matches_run ~id ~g ~explorer ~algorithm ~space ~la ~lb ~pa
-              ~pb ~da ~db
-          done)
-        [ R.Cheap; R.Fast; R.Fwr 2 ])
-    (families ())
+      for draw = 1 to 12 do
+        let la = 1 + Rng.int rng space in
+        let lb =
+          let l = 1 + Rng.int rng (space - 1) in
+          if l >= la then l + 1 else l
+        in
+        let pa = Rng.int rng n in
+        let pb =
+          let p = Rng.int rng (n - 1) in
+          if p >= pa then p + 1 else p
+        in
+        let d () = Rng.choose rng [| 0; 1; 2; e - 1; e; e + 1; (2 * e) + 2 |] in
+        let shift = if Rng.bool rng then d () else 0 in
+        let da = d () + shift and db = d () + shift in
+        let id =
+          Printf.sprintf "%s %s%s draw%d (l %d/%d, s %d/%d, d %d/%d)" fam (R.name algorithm)
+            model draw la lb pa pb da db
+        in
+        check ~id ~g ~explorer ~algorithm ~space ~la ~lb ~pa ~pb ~da ~db
+      done)
+    cases
 
-let test_meet_intervals_matches_sim_run () =
-  let rng = Rng.create ~seed:0x9e11 in
-  let space = 16 in
-  List.iter
-    (fun (fam, g, explorer) ->
-      let n = Pg.n g in
-      let e = (explorer ~start:0).Ex.bound in
-      List.iter
-        (fun algorithm ->
-          for draw = 1 to 12 do
-            let la = 1 + Rng.int rng space in
-            let lb =
-              let l = 1 + Rng.int rng (space - 1) in
-              if l >= la then l + 1 else l
-            in
-            let pa = Rng.int rng n in
-            let pb =
-              let p = Rng.int rng (n - 1) in
-              if p >= pa then p + 1 else p
-            in
-            let d () =
-              Rng.choose rng [| 0; 1; 2; e - 1; e; e + 1; (2 * e) + 2 |]
-            in
-            let shift = if Rng.bool rng then d () else 0 in
-            let da = d () + shift and db = d () + shift in
-            let id =
-              Printf.sprintf "%s %s parachute draw%d (l %d/%d, s %d/%d, d %d/%d)"
-                fam (R.name algorithm) draw la lb pa pb da db
-            in
-            check_meet_intervals_matches_run ~id ~g ~explorer ~algorithm ~space
-              ~la ~lb ~pa ~pb ~da ~db
-          done)
-        [ R.Cheap; R.Fast; R.Fwr 2 ])
-    (families ());
+let test_meet_matches_sim_run cases () =
+  draw_cells ~seed:0x7247 ~model:"" (cases ()) check_meet_matches_run
+
+let test_meet_intervals_matches_sim_run cases () =
+  draw_cells ~seed:0x9e11 ~model:" parachute" (cases ()) check_meet_intervals_matches_run
+
+let test_placement_meeting () =
   (* Placement meeting with both agents pinned: A's schedule ends on the
      sleeper's node, but the sleeper is absent through its delay rounds —
      the earliest detectable round is its first present round (delay+1),
@@ -244,6 +272,161 @@ let test_meet_intervals_matches_sim_run () =
   (* Waiting-model contrast on the same walks. *)
   let mw = Traj.meet ~a:walker ~b:sleeper ~delay_a:0 ~delay_b:5 ~max_rounds:10 in
   Alcotest.(check (option int)) "waiting meets at arrival" (Some 3) mw.Traj.meeting_round
+
+(* ---------------------------------------- property: random block lists *)
+
+(* A block list as data, so every consumer steps fresh instances.  A Run
+   replays its script — a negative entry waits, any other moves through
+   that port modulo the degree — and waits once the script runs out. *)
+type spec = S of int | R of int list * int
+
+let script_instance script =
+  let rest = ref script in
+  fun (o : Ex.observation) ->
+    match !rest with
+    | [] -> Ex.Wait
+    | c :: tl ->
+        rest := tl;
+        if c < 0 then Ex.Wait else Ex.Move (c mod o.Ex.degree)
+
+let blocks_of_spec =
+  List.map (function S k -> Traj.Still k | R (script, k) -> Traj.Run (script_instance script, k))
+
+(* The same rounds as one stepper, for of_schedule and Sim.run: one
+   instance per round ([None] waits), then waits forever. *)
+let stepper_of_spec spec =
+  let rounds =
+    ref
+      (List.concat_map
+         (function
+           | S k -> List.init k (fun _ -> None)
+           | R (script, k) ->
+               let inst = script_instance script in
+               List.init k (fun _ -> Some inst))
+         spec)
+  in
+  fun (o : Ex.observation) ->
+    match !rounds with
+    | [] -> Ex.Wait
+    | x :: rest -> (
+        rounds := rest;
+        match x with None -> Ex.Wait | Some inst -> inst o)
+
+let spec_rounds = List.fold_left (fun acc -> function S k | R (_, k) -> acc + k) 0
+
+(* Every block boundary, in the agent's own rounds. *)
+let boundaries spec =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (r, acc) b ->
+            let r = r + (match b with S k | R (_, k) -> k) in
+            (r, r :: acc))
+          (0, [ 0 ]) spec))
+
+type block_case = {
+  graph : string;
+  spec_a : spec list;
+  spec_b : spec list;
+  start_b : int;
+  delay_a : int;
+  delay_b : int;
+  cap : int option;
+}
+
+let block_graphs =
+  [
+    ("ring:6", Rv_graph.Ring.oriented 6);
+    ("grid:2x3", Rv_graph.Grid.make ~rows:2 ~cols:3);
+    ("path:5", Rv_graph.Tree.path 5);
+  ]
+
+let show_spec spec =
+  String.concat "; "
+    (List.map
+       (function
+         | S k -> Printf.sprintf "Still %d" k
+         | R (script, k) ->
+             Printf.sprintf "Run ([%s], %d)"
+               (String.concat "," (List.map string_of_int script))
+               k)
+       spec)
+
+let show_block_case c =
+  Printf.sprintf "%s a=[%s] b=[%s] start_b=%d delays %d/%d cap %s" c.graph (show_spec c.spec_a)
+    (show_spec c.spec_b) c.start_b c.delay_a c.delay_b
+    (match c.cap with None -> "-" | Some m -> string_of_int m)
+
+(* Zero-length and adjacent Still blocks, leading and trailing pauses,
+   Run blocks whose scripts wait or run out, and delays on both sides of
+   every pair of block boundaries. *)
+let block_case_gen =
+  let open QCheck.Gen in
+  let block =
+    frequency
+      [
+        (2, map (fun k -> S k) (oneofl [ 0; 0; 1; 2; 3; 7 ]));
+        ( 3,
+          int_range 0 5 >>= fun k ->
+          list_size (int_range 0 (k + 1)) (int_range (-1) 2) >>= fun script ->
+          return (R (script, k)) );
+      ]
+  in
+  let spec = list_size (int_range 0 6) block in
+  oneofl block_graphs >>= fun (graph, g) ->
+  spec >>= fun spec_a ->
+  spec >>= fun spec_b ->
+  int_range 1 (Pg.n g - 1) >>= fun start_b ->
+  let offsets =
+    List.concat_map
+      (fun x -> List.concat_map (fun y -> [ x - y - 1; x - y; x - y + 1 ]) (boundaries spec_b))
+      (boundaries spec_a)
+  in
+  oneofl (0 :: 1 :: 2 :: offsets) >>= fun gap ->
+  int_range 0 2 >>= fun shift ->
+  (* A positive gap delays agent b by it, a negative one agent a. *)
+  let delay_a = shift + max 0 (-gap) and delay_b = shift + max 0 gap in
+  opt (int_range 0 12) >>= fun cap ->
+  return { graph; spec_a; spec_b; start_b; delay_a; delay_b; cap }
+
+let same_outcome (out : Sim.outcome) (m : Traj.meeting) =
+  out.Sim.met = m.Traj.met
+  && out.Sim.meeting_round = m.Traj.meeting_round
+  && out.Sim.meeting_node = m.Traj.meeting_node
+  && out.Sim.cost = m.Traj.cost
+  && out.Sim.cost_a = m.Traj.cost_a
+  && out.Sim.cost_b = m.Traj.cost_b
+  && out.Sim.rounds_run = m.Traj.rounds_run
+  && out.Sim.crossings = m.Traj.crossings
+
+let prop_random_blocks =
+  qtest "random block lists: of_blocks == of_schedule, meet == Sim.run (both models)"
+    (QCheck.make ~print:show_block_case block_case_gen)
+    (fun c ->
+      let g = List.assoc c.graph block_graphs in
+      let build spec start = Traj.of_blocks ~g ~start (blocks_of_spec spec) in
+      let generic spec start =
+        Traj.of_schedule ~g ~start ~rounds:(spec_rounds spec) (stepper_of_spec spec)
+      in
+      let ta = build c.spec_a 0 and tb = build c.spec_b c.start_b in
+      let max_rounds =
+        match c.cap with
+        | Some m -> m
+        | None -> max (ta.Traj.rounds + c.delay_a) (tb.Traj.rounds + c.delay_b) + 1
+      in
+      let agrees model scan =
+        let out =
+          Sim.run ~model ~g ~max_rounds
+            { Sim.start = 0; delay = c.delay_a; step = stepper_of_spec c.spec_a }
+            { Sim.start = c.start_b; delay = c.delay_b; step = stepper_of_spec c.spec_b }
+        in
+        same_outcome out
+          (scan ~a:ta ~b:tb ~delay_a:c.delay_a ~delay_b:c.delay_b ~max_rounds)
+      in
+      same_walk (generic c.spec_a 0) ta
+      && same_walk (generic c.spec_b c.start_b) tb
+      && agrees Sim.Waiting Traj.meet
+      && agrees Sim.Parachute Traj.meet_intervals)
 
 (* ------------------------------------------- crossing at the wake boundary *)
 
@@ -300,8 +483,6 @@ let test_meeting_at_wake_boundary () =
 
 module Sym = Rv_graph.Symmetry
 
-let algorithms = [ R.Cheap; R.Fast; R.Fwr 2 ]
-
 (* On a certifying family the walk from phi(0) is the image of the walk
    from 0, field for field — what the reduced sweep's cache relies on. *)
 let test_image_matches_of_blocks () =
@@ -325,10 +506,8 @@ let test_image_matches_of_blocks () =
                   (Traj.image phi t0))
               autos
           done)
-        algorithms)
+        delay_tolerant)
     (Sym_families.reduced ())
-
-let same_ints a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 (* The streamed check against its definition — build both walks, compare
    round counts and ports — from every phi(0).  Every label certifies on
@@ -369,18 +548,20 @@ let test_same_ports_agrees_with_builds () =
                       (blocks_of ~algorithm ~space ~explorer ~label ~start)
                       t0
                   in
-                  Alcotest.(check bool)
-                    id
-                    (built.Traj.rounds = t0.Traj.rounds
-                    && same_ints built.Traj.port t0.Traj.port)
-                    streamed;
+                  let same_ports =
+                    built.Traj.rounds = t0.Traj.rounds
+                    && List.for_all
+                         (fun r -> Traj.port_at built r = Traj.port_at t0 r)
+                         (List.init (t0.Traj.rounds + 2) Fun.id)
+                  in
+                  Alcotest.(check bool) id same_ports streamed;
                   if not streamed then all := false)
                 autos;
               Alcotest.(check bool)
                 (Printf.sprintf "%s %s l=%d certifies" fam (R.name algorithm) label)
                 certifies !all)
             [ 1; 5; 16 ])
-        algorithms)
+        delay_tolerant)
     families
 
 let always p (_ : Ex.observation) = Ex.Move p
@@ -400,6 +581,8 @@ let test_same_ports_crafted () =
   check "pauses where the walk moves" false
     [ Traj.Run (always 0, 2); Traj.Still 2 ]
     clockwise;
+  check "moves where the walk pauses" false [ Traj.Run (always 0, 4) ]
+    (Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 2); Traj.Still 2 ]);
   (* Turns back unless it just entered through a port: after a pause
      there is no entry port, so it turns back — in both walkers. *)
   let turn_back_fresh (o : Ex.observation) =
@@ -480,6 +663,30 @@ let test_cache_eviction_bounded () =
       Alcotest.(check int) "promoted key hits" 3 !builds;
       Alcotest.(check int) "hit counted" 1 (counter "traj.cache_hits"))
 
+(* An entry is charged what it stores, not its duration: a walk whose
+   1000-round pause is one segment stores 4 rounds and 3 segments, so
+   two of them fit a 100-round budget that either duration exceeds and
+   neither insert rotates the generations. *)
+let test_cache_charges_stored () =
+  with_obs (fun () ->
+      let g = Rv_graph.Ring.oriented 6 in
+      let builds = ref 0 in
+      let build ~label:_ ~start =
+        incr builds;
+        Traj.of_blocks ~g ~start
+          [ Traj.Run (scripted [ Ex.Move 0; Ex.Move 0 ], 2); Traj.Still 1000;
+            Traj.Run (scripted [ Ex.Move 1; Ex.Move 1 ], 2) ]
+      in
+      let ctx = Traj_cache.create ~budget_rounds:100 ~build () in
+      let t = Traj_cache.get ctx ~label:1 ~start:0 in
+      Alcotest.(check int) "duration over budget" 1004 t.Traj.rounds;
+      Alcotest.(check int) "stored" 7 (Traj.stored t);
+      ignore (Traj_cache.get ctx ~label:2 ~start:0);
+      ignore (Traj_cache.get ctx ~label:1 ~start:0);
+      ignore (Traj_cache.get ctx ~label:2 ~start:0);
+      Alcotest.(check int) "both retained" 2 !builds;
+      Alcotest.(check int) "hits" 2 (counter "traj.cache_hits"))
+
 (* ------------------------------------- workload fast path == reference *)
 
 let test_workload_fast_matches_reference () =
@@ -515,11 +722,12 @@ let () =
     [
       ( "traj",
         [
-          tc "of_blocks == of_schedule (3 families)" test_of_blocks_matches_of_schedule;
+          tc "of_blocks == of_schedule (3 families)" (test_of_blocks_matches_of_schedule classic);
           tc "meet == Sim.run (3 families x 3 algorithms, random draws)"
-            test_meet_matches_sim_run;
-          tc "meet_intervals == Sim.run parachute (same sweep + placement)"
-            test_meet_intervals_matches_sim_run;
+            (test_meet_matches_sim_run classic);
+          tc "meet_intervals == Sim.run parachute (same sweep + placement)" (fun () ->
+              test_meet_intervals_matches_sim_run classic ();
+              test_placement_meeting ());
           tc "crossing at the delay boundary" test_crossing_at_delay_boundary;
           tc "meeting at the wake boundary" test_meeting_at_wake_boundary;
           tc "image == of_blocks from phi(0) (4 families x 3 algorithms)"
@@ -528,11 +736,19 @@ let () =
             test_same_ports_agrees_with_builds;
           tc "same_ports on crafted walks (last round, pause, invalid port)"
             test_same_ports_crafted;
+          tc "of_blocks == of_schedule (-sim algorithms, dfs-nr)"
+            (test_of_blocks_matches_of_schedule widened);
+          tc "meet == Sim.run (-sim algorithms, dfs-nr)" (test_meet_matches_sim_run widened);
+          tc "meet_intervals == Sim.run parachute (-sim algorithms, dfs-nr)"
+            (test_meet_intervals_matches_sim_run widened);
+          prop_random_blocks;
+          tc "Cheap stores its run rounds, not its duration" test_cheap_stores_run_rounds;
         ] );
       ( "cache",
         [
           tc "hit/miss accounting" test_cache_hit_miss_accounting;
           tc "bounded eviction with second chance" test_cache_eviction_bounded;
+          tc "charges stored rounds, not duration" test_cache_charges_stored;
         ] );
       ( "workload",
         [
