@@ -144,28 +144,41 @@ let connect ~host ~port =
   in
   go 0
 
+(* [f ic oc] over channels on a connected [fd], which is then closed
+   exactly once.  The two channels share the descriptor, so closing both
+   is a double close: in a process that also runs the server (`rv chaos
+   --soak`) the number can be handed to another thread's new connection
+   between the two closes.  [close_out_noerr] flushes, closes the
+   descriptor once and marks the channel closed, so no later flush
+   writes to a recycled number.  The channels are made inside the
+   handler: a dead descriptor is an [Error], not an escaping exception. *)
+let with_conn fd f =
+  match Unix.out_channel_of_descr fd with
+  | exception (Sys_error msg | Unix.Unix_error (_, msg, _)) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Error ("connection error: " ^ msg)
+  | oc -> (
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
+      try f (Unix.in_channel_of_descr fd) oc
+      with Sys_error msg | Unix.Unix_error (_, msg, _) ->
+        Error ("connection error: " ^ msg))
+
+let send oc line =
+  output_string oc line;
+  output_char oc '\n';
+  flush oc
+
 (* One-shot request/reply on a fresh connection: what the post-run
    scrape and the `rv obs` client use. *)
 let rpc ?(host = "127.0.0.1") ~port line =
   match connect ~host ~port with
   | Error e -> Error e
-  | Ok fd -> (
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      let finally () =
-        (try close_out oc with Sys_error _ | Unix.Unix_error _ -> ());
-        try close_in ic with Sys_error _ | Unix.Unix_error _ -> ()
-      in
-      Fun.protect ~finally @@ fun () ->
-      try
-        output_string oc line;
-        output_char oc '\n';
-        flush oc;
-        match input_line ic with
-        | reply -> Ok reply
-        | exception End_of_file -> Error "connection closed before reply"
-      with Sys_error msg | Unix.Unix_error (_, msg, _) ->
-        Error ("connection error: " ^ msg))
+  | Ok fd ->
+      with_conn fd @@ fun ic oc ->
+      send oc line;
+      (match input_line ic with
+      | reply -> Ok reply
+      | exception End_of_file -> Error "connection closed before reply")
 
 (* Read back the server's own view of the run: the 5m sliding window
    covers everything this load run observed client-side. *)
@@ -199,28 +212,24 @@ type worker_result = {
 }
 
 let drive_conn fd lines indices result =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  try
-    List.iter
-      (fun i ->
+  let rec go ic oc = function
+    | [] -> Ok ()
+    | i :: rest -> (
         let t0 = Clock.now_us () in
-        output_string oc lines.(i);
-        output_char oc '\n';
-        flush oc;
+        send oc lines.(i);
         match input_line ic with
         | reply ->
             let dt = int_of_float (Clock.now_us () -. t0) in
             result.replies <- (i, reply) :: result.replies;
-            result.latencies <- dt :: result.latencies
+            result.latencies <- dt :: result.latencies;
+            go ic oc rest
         | exception End_of_file ->
-            result.failure <- Some (Printf.sprintf "connection closed before reply to request %d" i);
-            raise Exit)
-      indices
-  with
-  | Exit -> ()
-  | Sys_error msg | Unix.Unix_error (_, msg, _) ->
-      result.failure <- Some ("connection error: " ^ msg)
+            Error
+              (Printf.sprintf "connection closed before reply to request %d" i))
+  in
+  match with_conn fd (fun ic oc -> go ic oc indices) with
+  | Ok () -> ()
+  | Error msg -> result.failure <- Some msg
 
 let percentile sorted p =
   if Array.length sorted = 0 then 0 else Rv_util.Stats.percentile sorted p
@@ -247,30 +256,21 @@ let drive_churn ~host ~port ~requests ~churn result =
       (match connect ~host ~port with
       | Error e -> result.failure <- Some ("churn connect: " ^ e)
       | Ok fd -> (
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          let finally () =
-            (try close_out oc with Sys_error _ | Unix.Unix_error _ -> ());
-            try close_in ic with Sys_error _ | Unix.Unix_error _ -> ()
-          in
-          Fun.protect ~finally @@ fun () ->
           let t0 = Clock.now_us () in
-          try
-            output_string oc (cached_line ~id:(requests + k) k);
-            output_char oc '\n';
-            flush oc;
-            match input_line ic with
-            | reply ->
-                let dt = int_of_float (Clock.now_us () -. t0) in
-                result.replies <- (requests + k, reply) :: result.replies;
-                result.latencies <- dt :: result.latencies
-            | exception End_of_file ->
-                result.failure <-
-                  Some
-                    (Printf.sprintf
-                       "churn: connection closed before reply to cycle %d" k)
-          with Sys_error msg | Unix.Unix_error (_, msg, _) ->
-            result.failure <- Some ("churn: " ^ msg)));
+          match
+            with_conn fd (fun ic oc ->
+                send oc (cached_line ~id:(requests + k) k);
+                match input_line ic with
+                | reply -> Ok (reply, int_of_float (Clock.now_us () -. t0))
+                | exception End_of_file ->
+                    Error
+                      (Printf.sprintf
+                         "connection closed before reply to cycle %d" k))
+          with
+          | Ok (reply, dt) ->
+              result.replies <- (requests + k, reply) :: result.replies;
+              result.latencies <- dt :: result.latencies
+          | Error msg -> result.failure <- Some ("churn: " ^ msg)));
       go (k + 1)
     end
   in
@@ -329,7 +329,6 @@ let run ?(host = "127.0.0.1") ~port ~conns ~requests ~seed ~mix ?(churn = 0) () 
         Option.iter Thread.join churn_thread;
         let results = results @ [ churn_result ] in
         let elapsed_s = (Clock.now_us () -. t0) /. 1_000_000. in
-        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
         match List.find_map (fun r -> r.failure) results with
         | Some msg -> Error msg
         | None ->

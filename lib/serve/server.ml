@@ -2,7 +2,6 @@ module Json = Rv_obs.Json
 module Counter = Rv_obs.Counter
 module Histogram = Rv_obs.Histogram
 module Window = Rv_obs.Window
-module Gauge = Rv_obs.Gauge
 module Gc_snapshot = Rv_obs.Gc_snapshot
 module Prom = Rv_obs.Export_prometheus
 module Obs = Rv_obs.Obs
@@ -20,7 +19,6 @@ type config = {
   telemetry : bool;
   recorder_cap : int;
   slow_us : int;
-  sampler_period_s : float;
 }
 
 let default_config =
@@ -37,7 +35,6 @@ let default_config =
     telemetry = true;
     recorder_cap = 256;
     slow_us = 10_000;
-    sampler_period_s = 1.0;
   }
 
 (* One accepted client.  [inflight] counts jobs handed to the dispatcher
@@ -64,16 +61,46 @@ type job = {
   j_conn : conn;
 }
 
-(* The sampler thread's last reading, published whole so the metrics
-   renderers see one consistent snapshot. *)
-type sampled = {
-  sm_gc : Gc_snapshot.t;
-  sm_queue_depth : int;
-  sm_registry_active : int;
-  sm_registry_total : int;
-  sm_index_generation : int;
-  sm_index_records : int;
-}
+(* Every server event counter, declared once in [metrics]-reply order:
+   its reply field and the HELP of its Prometheus family
+   [rv_serve_<field>_total].  Each bump also feeds the process-global
+   counter [serve.<field>] that [rv serve --metrics] prints. *)
+let counters =
+  [|
+    ("requests", "Requests received");
+    ("ok", "Successful replies");
+    ("errors", "Error replies");
+    ("bad_request", "Malformed requests");
+    ("overloaded", "Requests shed by admission control");
+    ("deadline_exceeded", "Requests past their deadline");
+    ( "write_failures",
+      "Replies that failed to write (client disconnected first)" );
+    ("cache_hits", "LRU result-cache hits");
+    ("cache_misses", "LRU result-cache misses");
+    ("index_hits", "Baked-index hits");
+    ("index_misses", "Baked-index misses");
+    ("index_backfilled", "Records added by backfill");
+  |]
+
+(* Each counter's index in [counters], looked up by field once at module
+   initialisation, so a misspelt field fails at start-up. *)
+module Slot = struct
+  let of_field f =
+    Option.get (Array.find_index (fun (f', _) -> String.equal f f') counters)
+
+  let requests = of_field "requests"
+  let ok = of_field "ok"
+  let errors = of_field "errors"
+  let bad_request = of_field "bad_request"
+  let overloaded = of_field "overloaded"
+  let deadline_exceeded = of_field "deadline_exceeded"
+  let write_failures = of_field "write_failures"
+  let cache_hits = of_field "cache_hits"
+  let cache_misses = of_field "cache_misses"
+  let index_hits = of_field "index_hits"
+  let index_misses = of_field "index_misses"
+  let index_backfilled = of_field "index_backfilled"
+end
 
 type t = {
   cfg : config;
@@ -90,48 +117,28 @@ type t = {
   mutable acceptor : Thread.t option;
   mutable dispatcher : Thread.t option;
   started_us : float;
-  (* Per-server counters back the [metrics] reply: the Rv_obs registries
+  (* The [metrics] reply's totals are per server: the Rv_obs registries
      are process-global (tests run several servers in one process), so
-     the reply must come from state scoped to this server. *)
-  n_requests : int Atomic.t;
-  n_ok : int Atomic.t;
-  n_errors : int Atomic.t;
-  n_bad : int Atomic.t;
-  n_overloaded : int Atomic.t;
-  n_deadline : int Atomic.t;
-  n_cache_hits : int Atomic.t;
-  n_cache_misses : int Atomic.t;
-  n_index_hits : int Atomic.t;
-  n_index_misses : int Atomic.t;
-  n_index_backfilled : int Atomic.t;
-  n_write_failures : int Atomic.t;
-  (* Hoisted process-global instruments (exported alongside everything
-     else by [rv] metric dumps). *)
-  c_requests : Counter.t;
-  c_ok : Counter.t;
-  c_errors : Counter.t;
-  c_overloaded : Counter.t;
-  c_deadline : Counter.t;
-  c_cache_hits : Counter.t;
-  c_cache_misses : Counter.t;
-  c_index_hits : Counter.t;
-  c_index_misses : Counter.t;
-  c_index_backfilled : Counter.t;
-  c_write_failures : Counter.t;
+     the reply must come from state scoped to this server.  [counts.(i)]
+     backs [counters.(i)], [globals.(i)] is its [serve.<field>], and the
+     latency totals are reply-only (no Prometheus family). *)
+  counts : int Atomic.t array;
+  globals : Counter.t array;
+  latency_count : int Atomic.t;
+  latency_max_us : int Atomic.t;
+  queue_wait_max_us : int Atomic.t;
+  (* Process-global histograms, printed by [rv serve --metrics]. *)
   h_latency : Histogram.t;
   h_queue_wait : Histogram.t;
   (* Always-on telemetry (per-server for the same registry-scoping
-     reason as the counters above): a request-id sequence, sliding
+     reason as the totals above): a request-id sequence, sliding
      latency windows over query replies — one per (kind, answer path),
      with the "all" aggregate derived at read time via
-     [Window.stats_many] so the hot path pays one observe — the anomaly
-     flight recorder, and the sampler's last gauge snapshot. *)
+     [Window.stats_many] so the hot path pays one observe — and the
+     anomaly flight recorder. *)
   req_seq : int Atomic.t;
-  w_kind_path : (string * Window.t) array;
+  windows : (string * string * Window.t) list;
   recorder : Recorder.t;
-  sampled : sampled Atomic.t;
-  sampler_stop : bool Atomic.t;
-  mutable sampler_thread : Thread.t option;
   (* The live index.  Swapped whole on reload/backfill; readers of a
      displaced generation keep answering from the old mapping, so a swap
      is never observable mid-lookup. *)
@@ -145,6 +152,10 @@ type t = {
 let port t = t.srv_port
 let cache_stats t = Cache.stats t.cache
 let recorder t = t.recorder
+
+let bump ?(by = 1) t slot =
+  ignore (Atomic.fetch_and_add t.counts.(slot) by);
+  Counter.add t.globals.(slot) by
 
 (* --- writing ----------------------------------------------------------- *)
 
@@ -168,8 +179,7 @@ let write_conn t conn line =
        flush conn.oc
      with Sys_error _ | Unix.Unix_error _ ->
        Atomic.set conn.dead true;
-       Atomic.incr t.n_write_failures;
-       Counter.add t.c_write_failures 1);
+       bump t Slot.write_failures);
     Mutex.unlock conn.wlock
   end
 
@@ -181,17 +191,16 @@ let new_rspan t =
 let is_query_kind kind = String.equal kind "worst" || String.equal kind "run"
 
 let window_for t ~kind ~path =
-  let key = kind ^ ":" ^ path in
-  Array.find_opt (fun (k, _) -> String.equal k key) t.w_kind_path
-  |> Option.map snd
+  List.find_map
+    (fun (k, p, w) ->
+      if String.equal k kind && String.equal p path then Some w else None)
+    t.windows
 
 (* The aggregate over every query reply — including shed/error paths,
    which have windows of their own precisely so this derived view keeps
    the same population the old single "all" window had. *)
 let stats_all t ~now_s ~horizon_s =
-  Window.stats_many
-    (Array.to_list (Array.map snd t.w_kind_path))
-    ~now_s ~horizon_s
+  Window.stats_many (List.map (fun (_, _, w) -> w) t.windows) ~now_s ~horizon_s
 
 (* Slow means "used more than half its budget": half the request's
    deadline window when one was set, else the configured threshold. *)
@@ -227,16 +236,18 @@ let record_of sp ~status ~flag =
       List.map (fun (n, t0, t1) -> (n, t0 -. recv, t1 -. t0)) (Rspan.stages sp);
   }
 
-(* Stamp completion; feed the whole-process latency histogram (always,
-   as before) and — for query requests with telemetry on — the sliding
-   windows and the flight recorder.  Admin probes stay out of both: they
-   answer inline in microseconds and the `rv obs` poller's own scrapes
-   must not flood the ring it is reading. *)
+(* Stamp completion; feed the latency totals and the whole-process
+   histogram (always) and — for query requests with telemetry on — the
+   sliding windows and the flight recorder.  Admin probes stay out of
+   both: they answer inline in microseconds and the `rv obs` poller's
+   own scrapes must not flood the ring it is reading. *)
 let finalize t sp ~status ~code =
   let now_us = Clock.now_us () in
   Rspan.finish sp ~now_us;
   let total = Rspan.total_us sp in
   Histogram.observe_t t.h_latency total;
+  Atomic.incr t.latency_count;
+  Histogram.atomic_max t.latency_max_us total;
   let kind = Rspan.kind sp in
   if t.cfg.telemetry && is_query_kind kind then begin
     let now_s = int_of_float (now_us /. 1_000_000.) in
@@ -274,23 +285,17 @@ let debug_fields sp =
    canonical field list — so they never enter the cache and replies
    without [debug:true] stay byte-identical across paths. *)
 let reply_ok t conn ~sp ~id fields =
-  Atomic.incr t.n_ok;
-  Counter.add t.c_ok 1;
+  bump t Slot.ok;
   finalize t sp ~status:"ok" ~code:None;
   let fields = if Rspan.debug sp then fields @ debug_fields sp else fields in
   write_conn t conn (Proto.ok_line ~id fields)
 
 let reply_error t conn ~sp ~id ?extra code msg =
-  Atomic.incr t.n_errors;
-  Counter.add t.c_errors 1;
+  bump t Slot.errors;
   (match code with
-  | Proto.Bad_request -> Atomic.incr t.n_bad
-  | Proto.Overloaded ->
-      Atomic.incr t.n_overloaded;
-      Counter.add t.c_overloaded 1
-  | Proto.Deadline_exceeded ->
-      Atomic.incr t.n_deadline;
-      Counter.add t.c_deadline 1
+  | Proto.Bad_request -> bump t Slot.bad_request
+  | Proto.Overloaded -> bump t Slot.overloaded
+  | Proto.Deadline_exceeded -> bump t Slot.deadline_exceeded
   | Proto.Failed_rendezvous | Proto.Internal -> ());
   if String.equal (Rspan.path sp) "none" then
     Rspan.set_path sp
@@ -302,23 +307,10 @@ let reply_error t conn ~sp ~id ?extra code msg =
   in
   write_conn t conn (Proto.error_line ~id ~extra code msg)
 
-let cache_hit t =
-  Atomic.incr t.n_cache_hits;
-  Counter.add t.c_cache_hits 1
-
-let cache_miss t =
-  Atomic.incr t.n_cache_misses;
-  Counter.add t.c_cache_misses 1
-
 (* --- index ------------------------------------------------------------- *)
 
-let index_hit t =
-  Atomic.incr t.n_index_hits;
-  Counter.add t.c_index_hits 1
-
-let index_miss t =
-  Atomic.incr t.n_index_misses;
-  Counter.add t.c_index_misses 1
+(* [f] of the live index [r], 0 when none is loaded. *)
+let index_stat r f = match r with Some r -> f r | None -> 0
 
 (* Consult the baked index.  A hit re-renders through the same
    [Handler.fields_of_vals] printer the compute path uses, so the reply
@@ -332,15 +324,15 @@ let index_answer ?(count_miss = true) t q key =
   | Some reader -> (
       match Rv_index.Reader.lookup reader key with
       | None ->
-          if count_miss then index_miss t;
+          if count_miss then bump t Slot.index_misses;
           None
       | Some values -> (
           match Handler.vals_of_values q values with
           | None ->
-              if count_miss then index_miss t;
+              if count_miss then bump t Slot.index_misses;
               None
           | Some v ->
-              index_hit t;
+              bump t Slot.index_hits;
               Some (Handler.fields_of_vals q v)))
 
 let reload_index t =
@@ -415,9 +407,7 @@ let publish_backfill t =
                         msg
                   | Ok r ->
                       Atomic.set t.index (Some r);
-                      let n = List.length fresh in
-                      ignore (Atomic.fetch_and_add t.n_index_backfilled n);
-                      Counter.add t.c_index_backfilled n))))
+                      bump t Slot.index_backfilled ~by:(List.length fresh)))))
 
 let backfill_loop t =
   let interval =
@@ -449,20 +439,15 @@ let contains_sub s sub =
   m > 0 && go 0
 
 let feature_flags () =
-  let fs = [ Json.Str "traj-cache" ] in
-  let fs =
-    if
-      contains_sub Build_meta.profile "tsan"
-      || contains_sub Build_meta.context "tsan"
-    then fs @ [ Json.Str "tsan" ]
-    else fs
-  in
-  let fs =
-    match Sys.getenv_opt "RV_NO_TRAJ" with
-    | Some _ -> fs @ [ Json.Str "no-traj-env" ]
-    | None -> fs
-  in
-  fs
+  List.filter_map
+    (fun (flag, on) -> if on then Some (Json.Str flag) else None)
+    [
+      ("traj-cache", true);
+      ( "tsan",
+        contains_sub Build_meta.profile "tsan"
+        || contains_sub Build_meta.context "tsan" );
+      ("no-traj-env", Option.is_some (Sys.getenv_opt "RV_NO_TRAJ"));
+    ]
 
 let version_fields () =
   [
@@ -476,27 +461,20 @@ let version_fields () =
   ]
 
 let index_status_fields t =
-  match Atomic.get t.index with
-  | None ->
-      [
-        ("index_loaded", Json.Bool false);
-        ("index_generation", Json.Int 0);
-        ("index_records", Json.Int 0);
-      ]
-  | Some r ->
-      [
-        ("index_loaded", Json.Bool true);
-        ("index_generation", Json.Int (Rv_index.Reader.generation r));
-        ("index_records", Json.Int (Rv_index.Reader.record_count r));
-      ]
+  let r = Atomic.get t.index in
+  [
+    ("index_loaded", Json.Bool (Option.is_some r));
+    ("index_generation", Json.Int (index_stat r Rv_index.Reader.generation));
+    ("index_records", Json.Int (index_stat r Rv_index.Reader.record_count));
+  ]
 
 (* Sliding-window latency summaries.  These replaced fields computed
    from the unbounded whole-process histogram: a cold-start or burst
    spike now ages out of the percentiles after the horizon instead of
    skewing them for the life of the process ([latency_count] /
-   [latency_max_us] keep the whole-process semantics — they are the
-   monotone counters scrape checks rely on). *)
-let horizons = [| ("10s", 10); ("1m", 60); ("5m", 300) |]
+   [latency_max_us] keep lifetime semantics — they are the monotone
+   totals scrape checks rely on). *)
+let horizons = [ ("10s", 10); ("1m", 60); ("5m", 300) ]
 
 let window_fields prefix (st : Window.stats) =
   [
@@ -533,159 +511,128 @@ let health_fields t =
 let metrics_fields t =
   let cs = Cache.stats t.cache in
   let now_s = int_of_float (Clock.now_s ()) in
-  [
-    ("status", Json.Str "ok");
-    ("type", Json.Str "metrics");
-    ("requests", Json.Int (Atomic.get t.n_requests));
-    ("ok", Json.Int (Atomic.get t.n_ok));
-    ("errors", Json.Int (Atomic.get t.n_errors));
-    ("bad_request", Json.Int (Atomic.get t.n_bad));
-    ("overloaded", Json.Int (Atomic.get t.n_overloaded));
-    ("deadline_exceeded", Json.Int (Atomic.get t.n_deadline));
-    ("write_failures", Json.Int (Atomic.get t.n_write_failures));
-    ("cache_hits", Json.Int (Atomic.get t.n_cache_hits));
-    ("cache_misses", Json.Int (Atomic.get t.n_cache_misses));
-    ("index_hits", Json.Int (Atomic.get t.n_index_hits));
-    ("index_misses", Json.Int (Atomic.get t.n_index_misses));
-    ("index_backfilled", Json.Int (Atomic.get t.n_index_backfilled));
-    ("cache_entries", Json.Int cs.Cache.entries);
-    ("cache_bytes", Json.Int cs.Cache.bytes);
-    ("cache_evictions", Json.Int cs.Cache.evictions);
-    ("queue_depth", Json.Int (Admission.depth t.queue));
-    ("latency_count", Json.Int (Histogram.count t.h_latency));
-    ("latency_max_us", Json.Int (Histogram.max_value t.h_latency));
-    ("queue_wait_max_us", Json.Int (Histogram.max_value t.h_queue_wait));
-  ]
+  let total field cell = (field, Json.Int (Atomic.get cell)) in
+  [ ("status", Json.Str "ok"); ("type", Json.Str "metrics") ]
+  @ Array.to_list (Array.map2 (fun (f, _) n -> total f n) counters t.counts)
+  @ [
+      ("cache_entries", Json.Int cs.Cache.entries);
+      ("cache_bytes", Json.Int cs.Cache.bytes);
+      ("cache_evictions", Json.Int cs.Cache.evictions);
+      ("queue_depth", Json.Int (Admission.depth t.queue));
+      total "latency_count" t.latency_count;
+      total "latency_max_us" t.latency_max_us;
+      total "queue_wait_max_us" t.queue_wait_max_us;
+    ]
   @ List.concat_map
       (fun (tag, horizon_s) ->
         window_fields ("lat" ^ tag) (stats_all t ~now_s ~horizon_s))
-      (Array.to_list horizons)
+      horizons
 
 (* --- Prometheus exposition --------------------------------------------- *)
 
+(* Every value is read when the probe asks, so a scrape is as current as
+   the reply it travels in. *)
 let prometheus_body t =
-  let s = Atomic.get t.sampled in
+  let gc = Gc_snapshot.take () in
   let cs = Cache.stats t.cache in
-  let counter name help v =
-    Prom.single ("rv_serve_" ^ name) help Prom.Counter_t (float_of_int v)
+  let r = Atomic.get t.index in
+  let single typ (name, help, v) =
+    Prom.single ("rv_serve_" ^ name) help typ (float_of_int v)
   in
-  let gauge name help v =
-    Prom.single ("rv_serve_" ^ name) help Prom.Gauge_t (float_of_int v)
+  let family fname help typ samples =
+    { Prom.fname = "rv_serve_" ^ fname; help; typ; samples }
   in
+  let sample labels v = { Prom.labels; value = float_of_int v } in
   let now_s = int_of_float (Clock.now_s ()) in
-  let wsets =
-    ("all", "all", fun horizon_s -> stats_all t ~now_s ~horizon_s)
-    :: List.map (fun (key, w) ->
-           let stats horizon_s = Window.stats w ~now_s ~horizon_s in
-           match String.index_opt key ':' with
-           | Some i ->
-               ( String.sub key 0 i,
-                 String.sub key (i + 1) (String.length key - i - 1),
-                 stats )
-           | None -> (key, key, stats))
-         (Array.to_list t.w_kind_path)
-  in
-  let latency_samples, count_samples, max_samples =
-    List.fold_left
-      (fun (qs, cs, ms) (kind, path, stats) ->
-        List.fold_left
-          (fun (qs, cs, ms) (tag, horizon_s) ->
-            let st = stats horizon_s in
+  let series =
+    List.concat_map
+      (fun (kind, path, stats) ->
+        List.map
+          (fun (tag, horizon_s) ->
             let labels = [ ("kind", kind); ("path", path); ("window", tag) ] in
-            let q quant v =
-              { Prom.labels = ("quantile", quant) :: labels;
-                value = float_of_int v }
-            in
-            ( q "0.5" st.Window.w_p50 :: q "0.9" st.Window.w_p90
-              :: q "0.99" st.Window.w_p99 :: qs,
-              { Prom.labels; value = float_of_int st.Window.w_count } :: cs,
-              { Prom.labels; value = float_of_int st.Window.w_max } :: ms ))
-          (qs, cs, ms)
-          (Array.to_list horizons))
-      ([], [], []) wsets
+            (labels, stats ~now_s ~horizon_s))
+          horizons)
+      (("all", "all", stats_all t)
+      :: List.map (fun (k, p, w) -> (k, p, Window.stats w)) t.windows)
   in
+  let per_window f = List.concat_map f series in
   let healthy, flagged, _, _ = Recorder.counts t.recorder in
   Prom.render
-    [
-      counter "requests_total" "Requests received" (Atomic.get t.n_requests);
-      counter "ok_total" "Successful replies" (Atomic.get t.n_ok);
-      counter "errors_total" "Error replies" (Atomic.get t.n_errors);
-      counter "bad_request_total" "Malformed requests" (Atomic.get t.n_bad);
-      counter "overloaded_total" "Requests shed by admission control"
-        (Atomic.get t.n_overloaded);
-      counter "deadline_exceeded_total" "Requests past their deadline"
-        (Atomic.get t.n_deadline);
-      counter "write_failures_total"
-        "Replies that failed to write (client disconnected first)"
-        (Atomic.get t.n_write_failures);
-      counter "cache_hits_total" "LRU result-cache hits"
-        (Atomic.get t.n_cache_hits);
-      counter "cache_misses_total" "LRU result-cache misses"
-        (Atomic.get t.n_cache_misses);
-      counter "cache_evictions_total" "LRU result-cache evictions"
-        cs.Cache.evictions;
-      counter "index_hits_total" "Baked-index hits" (Atomic.get t.n_index_hits);
-      counter "index_misses_total" "Baked-index misses"
-        (Atomic.get t.n_index_misses);
-      counter "index_backfilled_total" "Records added by backfill"
-        (Atomic.get t.n_index_backfilled);
-      counter "connections_total" "Connections accepted since start"
-        s.sm_registry_total;
-      counter "gc_minor_collections_total" "Minor GC collections (process)"
-        s.sm_gc.Gc_snapshot.minor_collections;
-      counter "gc_major_collections_total" "Major GC collections (process)"
-        s.sm_gc.Gc_snapshot.major_collections;
-      counter "gc_compactions_total" "Heap compactions (process)"
-        s.sm_gc.Gc_snapshot.compactions;
-      gauge "gc_heap_words" "Major heap size in words (process)"
-        s.sm_gc.Gc_snapshot.heap_words;
-      gauge "gc_top_heap_words" "Peak major heap size in words (process)"
-        s.sm_gc.Gc_snapshot.top_heap_words;
-      gauge "queue_depth" "Admission queue depth (sampled)" s.sm_queue_depth;
-      gauge "active_connections" "Open connections (sampled)"
-        s.sm_registry_active;
-      gauge "cache_entries" "LRU result-cache entries" cs.Cache.entries;
-      gauge "cache_bytes" "LRU result-cache bytes" cs.Cache.bytes;
-      gauge "index_loaded" "1 when a baked index is mmapped"
-        (match Atomic.get t.index with Some _ -> 1 | None -> 0);
-      gauge "index_generation" "Generation of the live index"
-        s.sm_index_generation;
-      gauge "index_records" "Records in the live index" s.sm_index_records;
-      gauge "uptime_seconds" "Seconds since server start"
-        (int_of_float ((Clock.now_us () -. t.started_us) /. 1e6));
-      {
-        Prom.fname = "rv_serve_recorder_records";
-        help = "Flight-recorder occupancy by class";
-        typ = Prom.Gauge_t;
-        samples =
+    (List.map (single Prom.Counter_t)
+       (Array.to_list
+          (Array.map2
+             (fun (field, help) n -> (field ^ "_total", help, Atomic.get n))
+             counters t.counts)
+       @ [
+           ( "cache_evictions_total",
+             "LRU result-cache evictions",
+             cs.Cache.evictions );
+           ( "connections_total",
+             "Connections accepted since start",
+             Registry.total t.registry );
+           ( "gc_minor_collections_total",
+             "Minor GC collections (process)",
+             gc.Gc_snapshot.minor_collections );
+           ( "gc_major_collections_total",
+             "Major GC collections (process)",
+             gc.Gc_snapshot.major_collections );
+           ( "gc_compactions_total",
+             "Heap compactions (process)",
+             gc.Gc_snapshot.compactions );
+         ])
+    @ List.map (single Prom.Gauge_t)
+        [
+          ( "gc_heap_words",
+            "Major heap size in words (process)",
+            gc.Gc_snapshot.heap_words );
+          ( "gc_top_heap_words",
+            "Peak major heap size in words (process)",
+            gc.Gc_snapshot.top_heap_words );
+          ("queue_depth", "Admission queue depth", Admission.depth t.queue);
+          ( "active_connections",
+            "Open connections",
+            Registry.active t.registry );
+          ("cache_entries", "LRU result-cache entries", cs.Cache.entries);
+          ("cache_bytes", "LRU result-cache bytes", cs.Cache.bytes);
+          ( "index_loaded",
+            "1 when a baked index is mmapped",
+            index_stat r (fun _ -> 1) );
+          ( "index_generation",
+            "Generation of the live index",
+            index_stat r Rv_index.Reader.generation );
+          ( "index_records",
+            "Records in the live index",
+            index_stat r Rv_index.Reader.record_count );
+          ( "uptime_seconds",
+            "Seconds since server start",
+            int_of_float ((Clock.now_us () -. t.started_us) /. 1e6) );
+        ]
+    @ [
+        family "recorder_records" "Flight-recorder occupancy by class"
+          Prom.Gauge_t
           [
-            { Prom.labels = [ ("class", "healthy") ];
-              value = float_of_int healthy };
-            { Prom.labels = [ ("class", "flagged") ];
-              value = float_of_int flagged };
+            sample [ ("class", "healthy") ] healthy;
+            sample [ ("class", "flagged") ] flagged;
           ];
-      };
-      {
-        Prom.fname = "rv_serve_latency_us";
-        help =
+        family "latency_us"
           "Reply latency quantiles over sliding windows (log2-bucket upper \
-           bounds)";
-        typ = Prom.Summary_t;
-        samples = latency_samples;
-      };
-      {
-        Prom.fname = "rv_serve_latency_us_count";
-        help = "Observations inside each sliding window";
-        typ = Prom.Gauge_t;
-        samples = count_samples;
-      };
-      {
-        Prom.fname = "rv_serve_latency_us_max";
-        help = "Largest latency inside each sliding window";
-        typ = Prom.Gauge_t;
-        samples = max_samples;
-      };
-    ]
+           bounds)"
+          Prom.Summary_t
+          (per_window (fun (labels, st) ->
+               List.map
+                 (fun (q, v) -> sample (("quantile", q) :: labels) v)
+                 [
+                   ("0.5", st.Window.w_p50);
+                   ("0.9", st.Window.w_p90);
+                   ("0.99", st.Window.w_p99);
+                 ]));
+        family "latency_us_count" "Observations inside each sliding window"
+          Prom.Gauge_t
+          (per_window (fun (l, st) -> [ sample l st.Window.w_count ]));
+        family "latency_us_max" "Largest latency inside each sliding window"
+          Prom.Gauge_t
+          (per_window (fun (l, st) -> [ sample l st.Window.w_max ]));
+      ])
 
 (* The transport is one JSON object per line, so the exposition text
    travels inside the reply as a ["body"] string — `rv obs`/smoke
@@ -722,63 +669,6 @@ let admin_fields t = function
   | Proto.Version -> version_fields () @ index_status_fields t
   | Proto.Obs q -> obs_fields t q
 
-(* --- sampler ----------------------------------------------------------- *)
-
-let take_sample t =
-  {
-    sm_gc = Gc_snapshot.take ();
-    sm_queue_depth = Admission.depth t.queue;
-    sm_registry_active = Registry.active t.registry;
-    sm_registry_total = Registry.total t.registry;
-    sm_index_generation =
-      (match Atomic.get t.index with
-      | Some r -> Rv_index.Reader.generation r
-      | None -> 0);
-    sm_index_records =
-      (match Atomic.get t.index with
-      | Some r -> Rv_index.Reader.record_count r
-      | None -> 0);
-  }
-
-(* Publish to this server's snapshot (backing the prometheus reply) and
-   mirror into the process-global gauge registry — the soak harness's
-   drift signals.  With several servers in one process (tests) the
-   global mirror is last-writer-wins; the per-server snapshot is the
-   authoritative scrape. *)
-let publish_sample t s =
-  Atomic.set t.sampled s;
-  Gauge.set_name "serve.gc_heap_words" s.sm_gc.Gc_snapshot.heap_words;
-  Gauge.set_name "serve.gc_top_heap_words" s.sm_gc.Gc_snapshot.top_heap_words;
-  Gauge.set_name "serve.gc_major_collections"
-    s.sm_gc.Gc_snapshot.major_collections;
-  Gauge.set_name "serve.queue_depth" s.sm_queue_depth;
-  Gauge.set_name "serve.active_connections" s.sm_registry_active;
-  Gauge.set_name "serve.total_connections" s.sm_registry_total;
-  Gauge.set_name "serve.index_generation" s.sm_index_generation;
-  Gauge.set_name "serve.index_records" s.sm_index_records
-
-let sampler_loop t =
-  let interval =
-    if t.cfg.sampler_period_s > 0. then t.cfg.sampler_period_s else 1.
-  in
-  (* Same sliced-nap shape as [backfill_loop]: a drain never waits more
-     than a slice for this thread to notice the stop flag. *)
-  let slice = 0.02 in
-  let rec loop () =
-    if not (Atomic.get t.sampler_stop) then begin
-      let rec nap remaining =
-        if remaining > 0. && not (Atomic.get t.sampler_stop) then begin
-          Thread.delay (if remaining < slice then remaining else slice);
-          nap (remaining -. slice)
-        end
-      in
-      nap interval;
-      if not (Atomic.get t.sampler_stop) then publish_sample t (take_sample t);
-      loop ()
-    end
-  in
-  loop ()
-
 (* --- dispatcher -------------------------------------------------------- *)
 
 (* rv_lint: allow R5 -- the queue stage opens on the connection thread
@@ -790,8 +680,9 @@ let process t job =
      close and the index stage's open. *)
   let dequeued_us = Clock.now_us () in
   Rspan.stage_end ~now_us:dequeued_us sp "queue";
-  Histogram.observe_t t.h_queue_wait
-    (int_of_float (dequeued_us -. Rspan.recv_us sp));
+  let waited = int_of_float (dequeued_us -. Rspan.recv_us sp) in
+  Histogram.observe_t t.h_queue_wait waited;
+  Histogram.atomic_max t.queue_wait_max_us waited;
   Rspan.stage_begin ~now_us:dequeued_us sp "index";
   let from_index = index_answer ~count_miss:false t job.j_query job.j_key in
   Rspan.stage_end sp "index";
@@ -809,11 +700,11 @@ let process t job =
       | Some fields ->
           (* A concurrent identical request computed it while this one
              queued. *)
-          cache_hit t;
+          bump t Slot.cache_hits;
           Rspan.set_path sp "cache";
           reply_ok t conn ~sp ~id:job.j_id fields
       | None -> (
-          cache_miss t;
+          bump t Slot.cache_misses;
           Rspan.set_path sp "sim";
           Rspan.stage_begin sp "compute";
           let result =
@@ -853,8 +744,7 @@ let admin_kind = function
   | Proto.Obs _ -> "obs"
 
 let serve_line t conn ~sp line =
-  Atomic.incr t.n_requests;
-  Counter.add t.c_requests 1;
+  bump t Slot.requests;
   Obs.span ~cat:"serve" "serve.request" @@ fun () ->
   Rspan.stage_begin sp "parse";
   let parsed = Proto.parse line in
@@ -890,7 +780,7 @@ let serve_line t conn ~sp line =
           Rspan.stage_end sp "cache";
           match from_cache with
           | Some fields ->
-              cache_hit t;
+              bump t Slot.cache_hits;
               Rspan.set_path sp "cache";
               reply_ok t conn ~sp ~id:req.Proto.id fields
           | None -> (
@@ -1000,8 +890,7 @@ let handle_conn t fd =
         match read_line_bounded ic Proto.max_line_len with
         | `Eof -> ()
         | `Too_long ->
-            Atomic.incr t.n_requests;
-            Counter.add t.c_requests 1;
+            bump t Slot.requests;
             let sp = new_rspan t in
             Rspan.set_kind sp "invalid";
             reply_error t conn ~sp ~id:None Proto.Bad_request
@@ -1099,57 +988,27 @@ let start cfg =
       acceptor = None;
       dispatcher = None;
       started_us = Clock.now_us ();
-      n_requests = Atomic.make 0;
-      n_ok = Atomic.make 0;
-      n_errors = Atomic.make 0;
-      n_bad = Atomic.make 0;
-      n_overloaded = Atomic.make 0;
-      n_deadline = Atomic.make 0;
-      n_cache_hits = Atomic.make 0;
-      n_cache_misses = Atomic.make 0;
-      c_requests = Counter.find "serve.requests";
-      c_ok = Counter.find "serve.ok";
-      c_errors = Counter.find "serve.errors";
-      c_overloaded = Counter.find "serve.overloaded";
-      c_deadline = Counter.find "serve.deadline_exceeded";
-      c_cache_hits = Counter.find "serve.cache_hits";
-      c_cache_misses = Counter.find "serve.cache_misses";
-      c_index_hits = Counter.find "serve.index_hits";
-      c_index_misses = Counter.find "serve.index_misses";
-      c_index_backfilled = Counter.find "serve.index_backfilled";
+      counts = Array.map (fun _ -> Atomic.make 0) counters;
+      globals =
+        Array.map (fun (field, _) -> Counter.find ("serve." ^ field)) counters;
+      latency_count = Atomic.make 0;
+      latency_max_us = Atomic.make 0;
+      queue_wait_max_us = Atomic.make 0;
       h_latency = Histogram.find "serve.latency_us";
       h_queue_wait = Histogram.find "serve.queue_wait_us";
-      n_index_hits = Atomic.make 0;
-      n_index_misses = Atomic.make 0;
-      n_index_backfilled = Atomic.make 0;
-      n_write_failures = Atomic.make 0;
-      c_write_failures = Counter.find "serve.write_failures";
       req_seq = Atomic.make 0;
-      w_kind_path =
+      windows =
         (* shed/error windows are rarely interesting alone but keep the
            derived "all" aggregate covering every query reply. *)
-        Array.of_list
-          (List.concat_map
-             (fun kind ->
-               List.map
-                 (fun path ->
-                   let key = kind ^ ":" ^ path in
-                   (key, Window.create ("serve.latency." ^ key)))
-                 [ "index"; "cache"; "sim"; "shed"; "error" ])
-             [ "worst"; "run" ]);
+        List.concat_map
+          (fun kind ->
+            List.map
+              (fun path ->
+                let name = "serve.latency." ^ kind ^ ":" ^ path in
+                (kind, path, Window.create name))
+              [ "index"; "cache"; "sim"; "shed"; "error" ])
+          [ "worst"; "run" ];
       recorder = Recorder.create ~cap:cfg.recorder_cap ();
-      sampled =
-        Atomic.make
-          {
-            sm_gc = Gc_snapshot.take ();
-            sm_queue_depth = 0;
-            sm_registry_active = 0;
-            sm_registry_total = 0;
-            sm_index_generation = 0;
-            sm_index_records = 0;
-          };
-      sampler_stop = Atomic.make false;
-      sampler_thread = None;
       index = Atomic.make None;
       backfill_lock = Mutex.create ();
       backfill_pending = Hashtbl.create 64;
@@ -1169,11 +1028,6 @@ let start cfg =
             "rv serve: index not loaded (%s); serving without it\n%!" msg));
   if cfg.index_backfill && Option.is_some cfg.index_path then
     t.backfill_thread <- Some (Thread.create backfill_loop t);
-  if cfg.telemetry then begin
-    (* One synchronous sample so the first scrape never sees zeros. *)
-    publish_sample t (take_sample t);
-    t.sampler_thread <- Some (Thread.create sampler_loop t)
-  end;
   t.acceptor <- Some (Thread.create accept_loop t);
   t.dispatcher <- Some (Thread.create dispatch_loop t);
   t
@@ -1198,8 +1052,6 @@ let join t =
     Atomic.set t.backfill_stop true;
     (match t.backfill_thread with Some th -> Thread.join th | None -> ());
     if t.cfg.index_backfill then publish_backfill t;
-    Atomic.set t.sampler_stop true;
-    (match t.sampler_thread with Some th -> Thread.join th | None -> ());
     Registry.shutdown_all t.registry;
     let conns =
       Mutex.lock t.conns_lock;
@@ -1231,13 +1083,8 @@ let install_signals t =
            if s = Sys.sighup then begin
              (match reload_index t with
              | Ok () ->
-                 let generation =
-                   match Atomic.get t.index with
-                   | Some r -> Rv_index.Reader.generation r
-                   | None -> 0
-                 in
                  Printf.eprintf "rv serve: index reloaded (generation %d)\n%!"
-                   generation
+                   (index_stat (Atomic.get t.index) Rv_index.Reader.generation)
              | Error msg ->
                  Printf.eprintf "rv serve: index reload failed: %s\n%!" msg);
              watch ()

@@ -41,23 +41,22 @@ type config = {
       (** backfill publish interval; [<= 0] means the 5s default *)
   telemetry : bool;
       (** always-on serving telemetry (default [true]): sliding latency
-          windows per kind/path, the anomaly flight recorder, and the
-          gauge sampler thread.  Reply bytes are identical either way —
-          only measurement is switched; [false] exists for the bench's
-          overhead row *)
+          windows per kind/path and the anomaly flight recorder.  Reply
+          bytes are identical either way — only measurement is switched;
+          [false] exists for the bench's overhead row.  Counters and
+          gauges are kept regardless; gauges (GC, queue, connections,
+          cache, index, uptime) are read when a probe asks *)
   recorder_cap : int;  (** flight-recorder ring size (default 256) *)
   slow_us : int;
       (** without a deadline, a request slower than this is flagged
           [slow] and always retained by the recorder (default 10ms);
           with a deadline the threshold is half the budget *)
-  sampler_period_s : float;
-      (** gauge sampler interval; [<= 0] means the 1s default *)
 }
 
 val default_config : config
 (** [127.0.0.1:0], [jobs = 1], 8 MiB cache, queue capacity 64, no
     default deadline, no index; telemetry on, 256-record recorder,
-    10ms slow threshold, 1s sampler. *)
+    10ms slow threshold. *)
 
 type t
 

@@ -9,7 +9,8 @@
 #      shed with an "overloaded" reply while health stays answerable;
 #   5. scrape the Prometheus exposition twice around extra traffic: the
 #      body must parse, carry no duplicate series, declare a TYPE for
-#      every sample, and every counter must be monotone;
+#      every sample, carry the GC gauges perfbench reads (with a non-zero
+#      peak heap), and every counter must be monotone;
 #   6. with --slow-us 0 every query is a retained anomaly: `rv obs tail`
 #      must list them and `rv obs dump --chrome` must write a parseable
 #      Chrome trace (kept as flight_dump.json for the CI artifact);
@@ -133,6 +134,12 @@ def scrape():
     for fam in ("rv_serve_requests_total", "rv_serve_latency_us",
                 "rv_serve_recorder_records", "rv_serve_queue_depth"):
         assert fam in families, f"missing family {fam}"
+    # perfbench's heap_peak_mb and GC metrics read these families and
+    # take a missing one as 0, so a rename must fail here instead.
+    for fam in ("rv_serve_gc_top_heap_words", "rv_serve_gc_heap_words",
+                "rv_serve_gc_major_collections_total"):
+        assert fam in families, f"missing GC family {fam}"
+    assert series["rv_serve_gc_top_heap_words"] > 0, "peak heap reads 0"
     return families, series
 
 fam1, s1 = scrape()

@@ -10,6 +10,7 @@ module Admission = Rv_serve.Admission
 module Loadgen = Rv_serve.Loadgen
 module Handler = Rv_serve.Handler
 module Recorder = Rv_serve.Recorder
+module Scrape = Rv_chaos.Scrape
 module R = Rv_core.Rendezvous
 module Spec = Rv_experiments.Spec
 
@@ -1045,26 +1046,6 @@ let chrome_dump_from_obs_scrape () =
 
 (* --- prometheus exposition ---------------------------------------------- *)
 
-(* Split the exposition body into (comment, sample) lines and index the
-   samples as series key (name + sorted labels) -> float value. *)
-let prom_series body =
-  let lines = String.split_on_char '\n' body in
-  List.filter_map
-    (fun line ->
-      if String.length line = 0 || line.[0] = '#' then None
-      else
-        match String.rindex_opt line ' ' with
-        | None -> Alcotest.failf "unparseable sample line %S" line
-        | Some i ->
-            let key = String.sub line 0 i in
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            let value =
-              try float_of_string v
-              with Failure _ -> Alcotest.failf "bad sample value %S in %S" v line
-            in
-            Some (key, value))
-    lines
-
 let prom_families body =
   List.filter_map
     (fun line ->
@@ -1075,22 +1056,31 @@ let prom_families body =
       else None)
     (String.split_on_char '\n' body)
 
-let series_family key =
-  match String.index_opt key '{' with
-  | Some i -> String.sub key 0 i
-  | None -> key
+let scrape_samples body =
+  match Scrape.parse body with
+  | Ok samples -> samples
+  | Error e -> Alcotest.failf "exposition does not parse: %s" e
+
+(* A sample's series key: its name and labels, without the value. *)
+let series_key { Scrape.family; labels; _ } =
+  match labels with
+  | [] -> family
+  | _ :: _ ->
+      family ^ "{"
+      ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) labels)
+      ^ "}"
+
+let scrape_body c =
+  let reply = rpc c {|{"type":"metrics","format":"prometheus"}|} in
+  check_ok reply;
+  Alcotest.(check string) "format echoed" "prometheus" (get_str "format" reply);
+  get_str "body" reply
 
 let prometheus_scrape_valid () =
   with_server @@ fun server ->
   with_client server @@ fun c ->
   List.iter (fun q -> check_ok (rpc c q)) telemetry_queries;
-  let scrape () =
-    let reply = rpc c {|{"type":"metrics","format":"prometheus"}|} in
-    check_ok reply;
-    Alcotest.(check string) "format echoed" "prometheus" (get_str "format" reply);
-    get_str "body" reply
-  in
-  let body = scrape () in
+  let body = scrape_body c in
   let families = prom_families body in
   let fnames = List.map fst families in
   Alcotest.(check (list string)) "no duplicate family"
@@ -1112,56 +1102,70 @@ let prometheus_scrape_valid () =
       ("rv_serve_latency_us", "summary");
       ("rv_serve_latency_us_count", "gauge");
     ];
-  let series = prom_series body in
-  let keys = List.map fst series in
+  let samples = scrape_samples body in
+  let keys = List.map series_key samples in
   Alcotest.(check (list string)) "no duplicate series"
     (List.sort_uniq String.compare keys)
     (List.sort String.compare keys);
   (* Every sample belongs to a declared family, every family has samples,
      and the whole exposition is stably sorted (byte order = replay order). *)
   List.iter
-    (fun key ->
+    (fun s ->
       Alcotest.(check bool)
-        (Printf.sprintf "series %s has a TYPE declaration" key)
+        (Printf.sprintf "series %s has a TYPE declaration" (series_key s))
         true
-        (List.mem_assoc (series_family key) families))
-    keys;
+        (List.mem_assoc s.Scrape.family families))
+    samples;
   List.iter
     (fun (f, _) ->
       Alcotest.(check bool)
         (Printf.sprintf "family %s has samples" f)
         true
-        (List.exists (fun k -> String.equal (series_family k) f) keys))
+        (List.exists (fun s -> String.equal s.Scrape.family f) samples))
     families;
   Alcotest.(check (list string)) "families sorted by name" (List.sort String.compare fnames) fnames;
   (* Counters are monotone across scrapes; the extra query in between
      must show up in requests_total. *)
   check_ok (rpc c (List.hd telemetry_queries));
-  let body2 = scrape () in
-  let series2 = prom_series body2 in
-  let counter_families =
-    List.filter_map
-      (fun (f, t) -> if String.equal t "counter" then Some f else None)
-      families
-  in
+  let samples2 = scrape_samples (scrape_body c) in
   List.iter
-    (fun (key, v1) ->
-      if List.mem (series_family key) counter_families then
-        match List.assoc_opt key series2 with
-        | None -> Alcotest.failf "counter series %s vanished" key
-        | Some v2 ->
+    (fun s ->
+      if List.mem (s.Scrape.family, "counter") families then
+        match
+          List.find_opt (fun s2 -> String.equal (series_key s2) (series_key s)) samples2
+        with
+        | None -> Alcotest.failf "counter series %s vanished" (series_key s)
+        | Some s2 ->
             Alcotest.(check bool)
-              (Printf.sprintf "counter %s monotone (%g -> %g)" key v1 v2)
-              true (v2 >= v1))
-    series;
-  let requests key series =
-    match List.assoc_opt key series with
+              (Printf.sprintf "counter %s monotone (%g -> %g)" (series_key s)
+                 s.Scrape.value s2.Scrape.value)
+              true (s2.Scrape.value >= s.Scrape.value))
+    samples;
+  let requests samples =
+    match Scrape.value samples "rv_serve_requests_total" with
     | Some v -> v
-    | None -> Alcotest.failf "no %s sample" key
+    | None -> Alcotest.fail "no rv_serve_requests_total sample"
   in
   Alcotest.(check bool) "extra query counted" true
-    (requests "rv_serve_requests_total" series2
-    > requests "rv_serve_requests_total" series)
+    (requests samples2 > requests samples)
+
+(* Gauges are read when the probe asks: connections opened just before a
+   scrape are already in it. *)
+let prometheus_gauges_current () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  with_client server @@ fun c2 ->
+  with_client server @@ fun c3 ->
+  List.iter (fun c -> check_ok (rpc c {|{"type":"health"}|})) [ c; c2; c3 ];
+  let samples = scrape_samples (scrape_body c) in
+  let gauge name =
+    match Scrape.value samples name with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "no %s sample" name
+  in
+  Alcotest.(check int) "open connections" 3 (gauge "rv_serve_active_connections");
+  Alcotest.(check int) "accepted connections" 3 (gauge "rv_serve_connections_total");
+  Alcotest.(check bool) "peak heap is live" true (gauge "rv_serve_gc_top_heap_words" > 0)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -1169,10 +1173,23 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Compare [rendered] with a golden file byte for byte; RV_UPDATE_GOLDEN=1
+   rewrites the file first (run from the test source directory). *)
+let check_golden name path rendered =
+  if
+    (match Sys.getenv_opt "RV_UPDATE_GOLDEN" with
+    | Some "1" -> true
+    | _ -> false)
+  then begin
+    let oc = open_out_bin path in
+    output_string oc rendered;
+    close_out oc
+  end;
+  Alcotest.(check string) name (read_file path) rendered
+
 (* A fixed family list exercising every rendering rule: family and label
    ordering, escaping in HELP and label values, and the integer /
-   fractional / non-finite value formats.  Regenerate the golden with
-   RV_UPDATE_GOLDEN=1 (run from the test source directory). *)
+   fractional / non-finite value formats. *)
 let prometheus_render_golden () =
   let module P = Rv_obs.Export_prometheus in
   let families =
@@ -1200,19 +1217,72 @@ let prometheus_render_golden () =
       P.single "not_a_number" "NaN renders as NaN" P.Gauge_t Float.nan;
     ]
   in
-  let rendered = P.render families in
-  let path = "golden/prometheus_render.golden" in
-  if
-    (match Sys.getenv_opt "RV_UPDATE_GOLDEN" with
-    | Some "1" -> true
-    | _ -> false)
-  then begin
-    let oc = open_out_bin path in
-    output_string oc rendered;
-    close_out oc
-  end;
-  Alcotest.(check string) "exposition renders byte-stably" (read_file path)
-    rendered
+  check_golden "exposition renders byte-stably" "golden/prometheus_render.golden"
+    (P.render families)
+
+(* --- admin surface ------------------------------------------------------ *)
+
+(* What dashboards and scrapers key on, pinned byte for byte: the field
+   names of every admin reply in order, and the exposition's HELP and
+   TYPE lines and series keys (values dropped), from a server with an
+   index loaded. *)
+let admin_surface_golden () =
+  with_index_file @@ fun path ->
+  bake_index path [ iq ];
+  with_server ~index_path:path @@ fun server ->
+  with_client server @@ fun c ->
+  check_ok (rpc c iq);
+  check_ok (rpc c iq_run);
+  let fields (name, probe) =
+    match Json.parse (rpc c probe) with
+    | Ok (Json.Obj fs) -> name ^ ": " ^ String.concat " " (List.map fst fs)
+    | _ -> Alcotest.failf "%s probe did not answer an object" name
+  in
+  let replies =
+    List.map fields
+      [
+        ("health", {|{"type":"health"}|});
+        ("metrics", {|{"type":"metrics"}|});
+        ("metrics prometheus", {|{"type":"metrics","format":"prometheus"}|});
+        ("version", {|{"type":"version"}|});
+        ("obs", {|{"type":"obs"}|});
+      ]
+  in
+  let exposition =
+    List.filter_map
+      (fun line ->
+        if String.length line = 0 then None
+        else if line.[0] = '#' then Some line
+        else
+          match scrape_samples line with
+          | [ s ] -> Some (series_key s)
+          | _ -> Alcotest.failf "sample line %S is not one sample" line)
+      (String.split_on_char '\n' (scrape_body c))
+  in
+  check_golden "admin surface unchanged" "golden/admin_surface.golden"
+    (String.concat "\n" (replies @ exposition) ^ "\n")
+
+(* --- per-server totals -------------------------------------------------- *)
+
+(* The [metrics] reply's lifetime latency totals belong to the server
+   that answered: a server started after another one stopped counts
+   only its own replies. *)
+let latency_totals_per_server () =
+  (with_server @@ fun server ->
+   with_client server @@ fun c ->
+   List.iter (fun q -> check_ok (rpc c q)) telemetry_queries);
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  let q = List.nth telemetry_queries 1 in
+  check_ok (rpc c q);
+  check_ok (rpc c q);
+  let m = rpc c {|{"type":"metrics"}|} in
+  Alcotest.(check int) "only this server's replies" 2 (get_int "latency_count" m);
+  Alcotest.(check int) "max over this server's replies"
+    (get_int "lat5m_max_us" m)
+    (get_int "latency_max_us" m);
+  Alcotest.(check bool) "queue wait inside this server's latencies" true
+    (get_int "queue_wait_max_us" m <= get_int "latency_max_us" m)
 
 (* --- loadgen server-side scrape ----------------------------------------- *)
 
@@ -1310,7 +1380,10 @@ let () =
       ( "prometheus",
         [
           tc "scrape is well-formed and monotone" prometheus_scrape_valid;
+          tc "gauges are read at scrape time" prometheus_gauges_current;
           tc "renderer matches the golden exposition" prometheus_render_golden;
+          tc "admin surface matches the golden" admin_surface_golden;
+          tc "latency totals are per server" latency_totals_per_server;
         ] );
       ( "loadgen",
         [ tc "post-run scrape and clock check" loadgen_scrapes_server_window ] );
