@@ -1,83 +1,11 @@
 (* rv_lint: allow-file R1 -- a wall-clock benchmark harness times kernels by design;
-   the deterministic tables it prints never depend on these readings *)
+   the results it asserts never depend on these readings *)
 
-(* The benchmark harness regenerates every experiment table from the
-   index in DESIGN.md Section 5 (the paper's propositions and theorems,
-   measured), then times each experiment's fixed-size kernel with Bechamel.
-
-   The tables are the scientific payload — rounds and edge traversals are
-   deterministic counts, reproducible bit-for-bit.  The Bechamel section
-   reports wall-clock per kernel, which tracks simulator performance. *)
-
-open Bechamel
-
-let print_tables () =
-  print_endline "==================================================================";
-  print_endline " Experiment tables (deterministic round/traversal measurements)";
-  print_endline "==================================================================";
-  print_newline ();
-  List.iter
-    (fun (id, table) ->
-      ignore id;
-      Rv_util.Table.print table)
-    (Rv_experiments.Report.all ())
-
-(* Simulator throughput: one full Fast rendezvous per run, across ring
-   sizes — tracks the cost of a simulated round as the system evolves. *)
-let throughput_tests () =
-  List.map
-    (fun n ->
-      let g = Rv_graph.Ring.oriented n in
-      let explorer ~start:_ = Rv_explore.Ring_walk.clockwise ~n in
-      let kernel () =
-        let out =
-          Rv_core.Rendezvous.run ~g ~explorer ~algorithm:Rv_core.Rendezvous.Fast
-            ~space:16
-            { Rv_core.Rendezvous.label = 3; start = 0; delay = 0 }
-            { Rv_core.Rendezvous.label = 11; start = n / 2; delay = n / 4 }
-        in
-        assert out.Rv_sim.Sim.met
-      in
-      Test.make ~name:(Printf.sprintf "fast-ring-n%d" n) (Staged.stage kernel))
-    [ 16; 64; 256 ]
-
-let benchmark_kernels () =
-  let tests =
-    List.map
-      (fun (id, kernel) -> Test.make ~name:id (Staged.stage kernel))
-      Rv_experiments.Report.kernels
-  in
-  let test =
-    Test.make_grouped ~name:"experiments" (tests @ throughput_tests ())
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> Printf.sprintf "%.0f" e
-        | Some [] | None -> "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "-"
-      in
-      rows := [ name; estimate; r2 ] :: !rows)
-    results;
-  let rows = List.sort Rv_util.Ord.(list string) !rows in
-  Rv_util.Table.print
-    (Rv_util.Table.make ~title:"Bechamel: wall-clock per experiment kernel"
-       ~headers:[ "kernel"; "ns/run (OLS)"; "r^2" ]
-       ~notes:[ "Fixed-size kernels (smaller than the tables above); monotonic clock." ]
-       rows)
+(* The benchmark harness: each section times one part of the system and
+   writes its figures to a BENCH_*.json file (sweep, obs, traj, serve,
+   index).  `main.exe SECTION` runs one section; no argument runs all
+   five.  The experiment tables themselves are deterministic counts and
+   come from `rv exp --all`, not from here. *)
 
 (* Rep/warmup counts for the hand-rolled timing loops, overridable from
    the environment so CI can cheapen a smoke run (RV_BENCH_REPS=1) or a
@@ -466,7 +394,7 @@ let obs_overhead () =
    per-table p50 cell latency alongside the totals.  Reps come from
    RV_BENCH_REPS (default 3, min-of).  The numbers land in
    BENCH_traj.json; `main.exe traj` runs only this section, which is how
-   CI publishes the artifact without paying for the Bechamel run.
+   CI publishes the artifact without running the other sections.
    Speedups are sequential-vs-sequential, so unlike BENCH_sweep.json
    nothing degenerates on a single-core container; the JSON still
    records the core count for context. *)
@@ -975,10 +903,6 @@ let () =
   | [| _; "serve" |] -> serve_bench ()
   | [| _; "index" |] -> index_bench ()
   | _ ->
-      print_tables ();
-      print_newline ();
-      benchmark_kernels ();
-      print_newline ();
       sweep_speedup ();
       print_newline ();
       obs_overhead ();

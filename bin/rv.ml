@@ -62,6 +62,55 @@ let parse_common ~graph ~explorer ~algo =
   let a = or_die (Spec.parse_algorithm algo) in
   (g, ex, a)
 
+(* The two agents of one rendezvous (run, trace): labels, starts, wake-up
+   delays and the placement model.  B starts at the antipode of A's start
+   unless --start-b is given, so the term yields a function of the graph
+   size [n]. *)
+type agents = { a : R.party; b : R.party; model : Rv_sim.Sim.model }
+
+let agents_arg =
+  let la = Arg.(value & opt int 3 & info [ "la" ] ~doc:"Label of agent A.") in
+  let lb = Arg.(value & opt int 11 & info [ "lb" ] ~doc:"Label of agent B.") in
+  let sa = Arg.(value & opt int 0 & info [ "start-a" ] ~doc:"Start node of A.") in
+  let sb =
+    Arg.(
+      value & opt int (-1)
+      & info [ "start-b" ] ~doc:"Start node of B (default: antipode).")
+  in
+  let da = Arg.(value & opt int 0 & info [ "delay-a" ] ~doc:"Wake-up delay of A.") in
+  let db = Arg.(value & opt int 0 & info [ "delay-b" ] ~doc:"Wake-up delay of B.") in
+  let parachute =
+    Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
+  in
+  let agents la lb sa sb da db parachute ~n =
+    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
+    {
+      a = { R.label = la; start = sa; delay = da };
+      b = { R.label = lb; start = sb; delay = db };
+      model = (if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting);
+    }
+  in
+  Term.(const agents $ la $ lb $ sa $ sb $ da $ db $ parachute)
+
+(* The lines run and trace both open with: graph, algorithm, agents and
+   where (or whether) the agents met. *)
+let print_meeting gs ~e algorithm ~space { a; b; _ } out =
+  Printf.printf "graph       : %s (n=%d, E=%d)\n" gs.Spec.spec
+    (Rv_graph.Port_graph.n gs.Spec.g) e;
+  Printf.printf "algorithm   : %s, label space L=%d\n" (R.name algorithm) space;
+  Printf.printf
+    "agents      : A(label %d, start %d, delay %d)  B(label %d, start %d, delay %d)\n"
+    a.R.label a.R.start a.R.delay b.R.label b.R.start b.R.delay;
+  match out.Rv_sim.Sim.meeting_round with
+  | Some r ->
+      Printf.printf "rendezvous  : node %d in round %d (time %d = %.2f E)\n"
+        (Option.get out.Rv_sim.Sim.meeting_node)
+        r r
+        (float_of_int r /. float_of_int e)
+  | None ->
+      Printf.printf "rendezvous  : NOT REACHED within %d rounds\n"
+        out.Rv_sim.Sim.rounds_run
+
 (* Multicore: -j/--jobs (or RV_JOBS) selects the engine's domain count;
    0 means "auto" = Domain.recommended_domain_count.  Results are
    bit-for-bit identical for every value (Rv_engine.Sweep merges in task
@@ -116,27 +165,15 @@ let with_metrics metrics f =
 (* run *)
 
 let run_cmd =
-  let run graph explorer algo space la lb sa sb da db trace parachute =
+  let run graph explorer algo space agents trace =
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
-    let model = if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting in
+    let ag = agents ~n:(Rv_graph.Port_graph.n gs.Spec.g) in
     let out =
-      R.run ~model ~record:trace ~g:gs.Spec.g ~explorer:ex ~algorithm ~space
-        { R.label = la; start = sa; delay = da }
-        { R.label = lb; start = sb; delay = db }
+      R.run ~model:ag.model ~record:trace ~g:gs.Spec.g ~explorer:ex ~algorithm
+        ~space ag.a ag.b
     in
     let e = Rv_experiments.Workload.e_of ex in
-    Printf.printf "graph       : %s (n=%d, E=%d)\n" gs.Spec.spec
-      (Rv_graph.Port_graph.n gs.Spec.g) e;
-    Printf.printf "algorithm   : %s, label space L=%d\n" (R.name algorithm) space;
-    Printf.printf "agents      : A(label %d, start %d, delay %d)  B(label %d, start %d, delay %d)\n"
-      la sa da lb sb db;
-    (match out.Rv_sim.Sim.meeting_round with
-    | Some r ->
-        Printf.printf "rendezvous  : node %d in round %d (time %d = %.2f E)\n"
-          (Option.get out.Rv_sim.Sim.meeting_node)
-          r r
-          (float_of_int r /. float_of_int e)
-    | None -> Printf.printf "rendezvous  : NOT REACHED within %d rounds\n" out.Rv_sim.Sim.rounds_run);
+    print_meeting gs ~e algorithm ~space ag out;
     Printf.printf "cost        : %d traversals (A %d + B %d = %.2f E)\n" out.Rv_sim.Sim.cost
       out.Rv_sim.Sim.cost_a out.Rv_sim.Sim.cost_b
       (float_of_int out.Rv_sim.Sim.cost /. float_of_int e);
@@ -148,35 +185,19 @@ let run_cmd =
     | Some t when trace -> Format.printf "%a" Rv_sim.Trace.pp t
     | Some _ | None -> ()
   in
-  let la = Arg.(value & opt int 3 & info [ "la" ] ~doc:"Label of agent A.") in
-  let lb = Arg.(value & opt int 11 & info [ "lb" ] ~doc:"Label of agent B.") in
-  let sa = Arg.(value & opt int 0 & info [ "start-a" ] ~doc:"Start node of A.") in
-  let sb = Arg.(value & opt int (-1) & info [ "start-b" ] ~doc:"Start node of B (default: antipode).") in
-  let da = Arg.(value & opt int 0 & info [ "delay-a" ] ~doc:"Wake-up delay of A.") in
-  let db = Arg.(value & opt int 0 & info [ "delay-b" ] ~doc:"Wake-up delay of B.") in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the full round-by-round trace.") in
-  let parachute =
-    Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
-  in
-  let wrap graph explorer algo space la lb sa sb da db trace parachute =
-    let gs = or_die (Spec.parse_graph graph) in
-    let n = Rv_graph.Port_graph.n gs.Spec.g in
-    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
-    run graph explorer algo space la lb sa sb da db trace parachute
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one rendezvous execution")
     Term.(
-      const wrap $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ la $ lb $ sa $ sb $ da
-      $ db $ trace $ parachute)
+      const run $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ agents_arg
+      $ trace)
 
 (* trace *)
 
 let trace_cmd =
-  let trace graph explorer algo space la lb sa sb da db parachute trace_max_rounds
-      chrome jsonl =
+  let trace graph explorer algo space agents trace_max_rounds chrome jsonl =
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
-    let model = if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting in
+    let ag = agents ~n:(Rv_graph.Port_graph.n gs.Spec.g) in
     Rv_obs.Obs.set_enabled true;
     Rv_obs.Obs.set_deep true;
     Rv_obs.Obs.reset ();
@@ -187,28 +208,12 @@ let trace_cmd =
        three layers (engine -> sim -> explore) even without a pool. *)
     let out =
       (Rv_engine.Sweep.map_array 1 (fun _ ->
-           R.run ~model ~record:true ~trace_cap:trace_max_rounds ~g:gs.Spec.g
-             ~explorer:ex ~algorithm ~space
-             { R.label = la; start = sa; delay = da }
-             { R.label = lb; start = sb; delay = db })).(0)
+           R.run ~model:ag.model ~record:true ~trace_cap:trace_max_rounds
+             ~g:gs.Spec.g ~explorer:ex ~algorithm ~space ag.a ag.b)).(0)
     in
     let after = Rv_obs.Gc_snapshot.take () in
     let e = Rv_experiments.Workload.e_of ex in
-    Printf.printf "graph       : %s (n=%d, E=%d)\n" gs.Spec.spec
-      (Rv_graph.Port_graph.n gs.Spec.g) e;
-    Printf.printf "algorithm   : %s, label space L=%d\n" (R.name algorithm) space;
-    Printf.printf
-      "agents      : A(label %d, start %d, delay %d)  B(label %d, start %d, delay %d)\n"
-      la sa da lb sb db;
-    (match out.Rv_sim.Sim.meeting_round with
-    | Some r ->
-        Printf.printf "rendezvous  : node %d in round %d (time %d = %.2f E)\n"
-          (Option.get out.Rv_sim.Sim.meeting_node)
-          r r
-          (float_of_int r /. float_of_int e)
-    | None ->
-        Printf.printf "rendezvous  : NOT REACHED within %d rounds\n"
-          out.Rv_sim.Sim.rounds_run);
+    print_meeting gs ~e algorithm ~space ag out;
     Printf.printf "cost        : %d traversals (A %d + B %d)\n" out.Rv_sim.Sim.cost
       out.Rv_sim.Sim.cost_a out.Rv_sim.Sim.cost_b;
     let events = Rv_obs.Obs.events () in
@@ -263,19 +268,6 @@ let trace_cmd =
         Printf.printf "jsonl events: wrote %s\n" path
     | None -> ()
   in
-  let la = Arg.(value & opt int 3 & info [ "la" ] ~doc:"Label of agent A.") in
-  let lb = Arg.(value & opt int 11 & info [ "lb" ] ~doc:"Label of agent B.") in
-  let sa = Arg.(value & opt int 0 & info [ "start-a" ] ~doc:"Start node of A.") in
-  let sb =
-    Arg.(
-      value & opt int (-1)
-      & info [ "start-b" ] ~doc:"Start node of B (default: antipode).")
-  in
-  let da = Arg.(value & opt int 0 & info [ "delay-a" ] ~doc:"Wake-up delay of A.") in
-  let db = Arg.(value & opt int 0 & info [ "delay-b" ] ~doc:"Wake-up delay of B.") in
-  let parachute =
-    Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
-  in
   let trace_max_rounds =
     Arg.(
       value & opt int 10_000
@@ -299,18 +291,12 @@ let trace_cmd =
       & info [ "jsonl" ] ~docv:"FILE"
           ~doc:"Write the span/counter/histogram stream as JSON lines to $(docv).")
   in
-  let wrap graph explorer algo space la lb sa sb da db parachute tmr chrome jsonl =
-    let gs = or_die (Spec.parse_graph graph) in
-    let n = Rv_graph.Port_graph.n gs.Spec.g in
-    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
-    trace graph explorer algo space la lb sa sb da db parachute tmr chrome jsonl
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Deep observability dive into one rendezvous (spans, Chrome trace)")
     Term.(
-      const wrap $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ la $ lb $ sa $ sb
-      $ da $ db $ parachute $ trace_max_rounds $ chrome $ jsonl)
+      const trace $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ agents_arg
+      $ trace_max_rounds $ chrome $ jsonl)
 
 (* sweep *)
 
@@ -767,103 +753,7 @@ let gather_cmd =
 
 (* lint *)
 
-let lint_cmd =
-  let lint paths json rules catalog scope no_typed build_dir hotpaths baseline
-      write_baseline sarif =
-    if catalog then begin
-      print_string (Rv_lint.Cli.catalog ());
-      exit 0
-    end;
-    exit
-      (Rv_lint.Cli.run ~scope ~typed:(not no_typed) ~build_dir ~hotpaths
-         ~baseline ~write_baseline ~sarif ~json ~rules ~paths ())
-  in
-  let paths =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to lint (default: the roots selected by \
-             $(b,--scope)).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Emit the machine-readable JSON report on stdout.")
-  in
-  let rules =
-    Arg.(
-      value
-      & opt ~vopt:(Some "list") (some string) None
-      & info [ "rules" ] ~docv:"R1,R2,..."
-          ~doc:
-            "Comma-separated subset of rules to run (default: all of R1..R9). \
-             With no value, list the full catalog and exit.")
-  in
-  let catalog =
-    Arg.(
-      value & flag
-      & info [ "catalog" ] ~doc:"Print the rule catalog with rationale and exit.")
-  in
-  let scope =
-    Arg.(
-      value & opt string "full"
-      & info [ "scope" ] ~docv:"full|core"
-          ~doc:
-            "Default path set when no PATH is given: $(b,full) = lib bin \
-             bench test examples; $(b,core) = lib bin bench (the pre-v2 \
-             walk).")
-  in
-  let no_typed =
-    Arg.(
-      value & flag
-      & info [ "no-typed" ]
-          ~doc:"Skip the typed pass (R6..R9); run only the source pass.")
-  in
-  let build_dir =
-    Arg.(
-      value & opt (some string) None
-      & info [ "build-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory holding dune's .cmt artifacts for the typed pass \
-             (default: _build/default).")
-  in
-  let hotpaths =
-    Arg.(
-      value & opt (some string) None
-      & info [ "hotpaths" ] ~docv:"FILE"
-          ~doc:
-            "Hot-path manifest for R8/dispatcher-R7 (default: \
-             lint_hotpaths.txt when present).")
-  in
-  let baseline =
-    Arg.(
-      value & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Diff mode: fail only on findings not in this checked-in \
-             baseline.")
-  in
-  let write_baseline =
-    Arg.(
-      value & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Write the current findings as a fresh baseline and exit 0.")
-  in
-  let sarif =
-    Arg.(
-      value & opt (some string) None
-      & info [ "sarif" ] ~docv:"FILE"
-          ~doc:
-            "Additionally write the full (pre-baseline) report as SARIF \
-             2.1.0 to FILE.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Static determinism & concurrency checks (same engine as rv_lint)")
-    Term.(
-      const lint $ paths $ json $ rules $ catalog $ scope $ no_typed $ build_dir
-      $ hotpaths $ baseline $ write_baseline $ sarif)
+let lint_cmd = Rv_lint.Cli.cmd "lint" exit
 
 (* dot *)
 

@@ -1,21 +1,3 @@
-let connect ?(retries = 50) ~host ~port () =
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let rec go attempt =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Ok fd
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if attempt >= retries then
-          Error
-            (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e))
-        else begin
-          Thread.delay 0.1;
-          go (attempt + 1)
-        end
-  in
-  go 0
-
 let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let reset fd =

@@ -11,11 +11,6 @@
     server closed on me" (often the expected outcome) from "my own
     socket broke". *)
 
-val connect :
-  ?retries:int -> host:string -> port:int -> unit -> (Unix.file_descr, string) result
-(** TCP connect with brief retries (default 50 at 100ms — the server
-    may still be binding). *)
-
 val close : Unix.file_descr -> unit
 (** Orderly close (FIN); errors ignored. *)
 

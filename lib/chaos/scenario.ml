@@ -217,7 +217,7 @@ let scenario_slow_loris env =
   let n = 4 in
   let jobs =
     List.init n (fun i () ->
-        let* fd = Fault.connect ~host:env.host ~port:env.port () in
+        let* fd = Loadgen.connect ~host:env.host ~port:env.port in
         Fun.protect ~finally:(fun () -> Fault.close fd) @@ fun () ->
         let line = clean_line ~id:(1_000 + i) i in
         let* () = Fault.drip_line ~chunk:3 ~pause_s:0.01 fd line in
@@ -263,7 +263,7 @@ let scenario_partial_write env =
   let* before = counters env in
   let jobs =
     List.init 6 (fun i () ->
-        let* fd = Fault.connect ~host:env.host ~port:env.port () in
+        let* fd = Loadgen.connect ~host:env.host ~port:env.port in
         let line = clean_line ~id:(2_000 + i) i in
         let sent = Fault.send_partial fd line ~keep:(String.length line / 2) in
         Thread.delay 0.02;
@@ -296,7 +296,7 @@ let scenario_disconnect_before_reply env =
   let base = salt_base before in
   let jobs =
     List.init n (fun i () ->
-        let* fd = Fault.connect ~host:env.host ~port:env.port () in
+        let* fd = Loadgen.connect ~host:env.host ~port:env.port in
         let* () = Fault.send_line fd (heavy_line ~id:(3_000 + i) ~salt:(base + i)) in
         (* long enough for the read + dispatch, far shorter than the sweep *)
         Thread.delay 0.05;
@@ -331,7 +331,7 @@ let scenario_churn env =
   let rec go i =
     if i >= cycles then Ok ()
     else
-      let* fd = Fault.connect ~host:env.host ~port:env.port () in
+      let* fd = Loadgen.connect ~host:env.host ~port:env.port in
       let* () =
         Fun.protect ~finally:(fun () -> Fault.close fd) @@ fun () ->
         if i mod 3 = 0 then Ok ()
@@ -373,7 +373,7 @@ let scenario_queue_storm env =
   let base = salt_base before in
   let jobs =
     List.init burst (fun i () ->
-        let* fd = Fault.connect ~host:env.host ~port:env.port () in
+        let* fd = Loadgen.connect ~host:env.host ~port:env.port in
         Fun.protect ~finally:(fun () -> Fault.close fd) @@ fun () ->
         let* reply =
           Fault.rpc_line ~timeout_s:120. fd (heavy_line ~id:(5_000 + i) ~salt:(base + i))
@@ -472,7 +472,7 @@ let scenario_deadline_skew env =
    byte-identically at the end. *)
 let scenario_garbage_frames env =
   let* before = counters env in
-  let* fd = Fault.connect ~host:env.host ~port:env.port () in
+  let* fd = Loadgen.connect ~host:env.host ~port:env.port in
   Fun.protect ~finally:(fun () -> Fault.close fd) @@ fun () ->
   let expect_bad what line =
     let* reply = Fault.rpc_line fd line in

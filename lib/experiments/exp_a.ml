@@ -47,10 +47,3 @@ let table ?pool ?(n = 24) ?(spaces = [ 4; 16; 64 ]) () =
         "Shape check: cheap cost stays O(E) while time grows with L; fast time and cost grow with log L.";
       ]
     rows
-
-let bench_kernel () =
-  let n = 12 in
-  let g = Rv_graph.Ring.oriented n in
-  match row ~g ~n ~space:8 R.Fast with
-  | _ :: _ -> ()
-  | [] -> assert false

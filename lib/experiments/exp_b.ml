@@ -52,8 +52,3 @@ let table ?pool ?(n = 16) ?(spaces = [ 2; 4; 8; 16; 32; 64 ]) () =
     ~headers:[ "L"; "worst time"; "time/E"; "worst cost" ]
     ~notes:[ slope_note; "Cost stays at E while time grows linearly in L: the Cheap end of the tradeoff." ]
     rows
-
-let bench_kernel () =
-  let n = 12 in
-  let g = Rv_graph.Ring.oriented n in
-  match worst_time ~g ~n ~space:16 () with Ok _ -> () | Error _ -> ()

@@ -7,5 +7,3 @@
 
 val table :
   ?pool:Rv_engine.Pool.t -> ?n:int -> ?spaces:int list -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

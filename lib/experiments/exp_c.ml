@@ -54,8 +54,3 @@ let table ?pool ?(n = 16) ?(spaces = [ 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 
     ~headers:[ "L"; "worst cost"; "cost/E"; "worst time"; "time/E" ]
     ~notes:[ note ]
     rows
-
-let bench_kernel () =
-  let n = 12 in
-  let g = Rv_graph.Ring.oriented n in
-  match worst ~g ~n ~space:64 ~simultaneous:true () with Ok _ -> () | Error _ -> ()

@@ -51,8 +51,3 @@ let table ?pool ?(n = 16) ?(space = 256) () =
         "intermediate w beats Cheap's Theta(EL) time at Theta(E) cost (Corollary 2.1).";
       ]
     rows
-
-let bench_kernel () =
-  let n = 12 in
-  let g = Rv_graph.Ring.oriented n in
-  match measure ~g ~n ~space:64 (R.Fwr_simultaneous 2) with Ok _ -> () | Error _ -> ()

@@ -9,5 +9,3 @@
 
 val table :
   ?pool:Rv_engine.Pool.t -> ?n:int -> ?space:int -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

@@ -48,10 +48,3 @@ let table ?pool ?(n = 16) ?(space = 16) ?(labels = (3, 11)) () =
         "both time and cost drop to at most E.";
       ]
     rows
-
-let bench_kernel () =
-  let n = 12 in
-  let g = Rv_graph.Ring.oriented n in
-  match worst_at_delay ~g ~n ~space:16 ~labels:(3, 11) ~algorithm:R.Fast ~tau:5 () with
-  | Ok _ -> ()
-  | Error _ -> ()

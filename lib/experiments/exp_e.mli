@@ -13,5 +13,3 @@ val table :
   ?labels:int * int ->
   unit ->
   Rv_util.Table.t
-
-val bench_kernel : unit -> unit

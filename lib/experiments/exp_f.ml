@@ -142,13 +142,3 @@ let table ?pool ?(space = 8) () =
         "of E transfers one-for-one into rendezvous performance.";
       ]
     rows
-
-let bench_kernel () =
-  let grid = Rv_graph.Grid.make ~rows:3 ~cols:3 in
-  let explorer = Rv_explore.Map_dfs.returning grid in
-  match
-    Workload.worst_for ~g:grid ~algorithm:R.Fast ~space:8 ~explorer ~pairs:[ (3, 5) ]
-      ~positions:(`Pairs [ (0, 4) ]) ~delays:[ (0, 0) ] ()
-  with
-  | Ok _ -> ()
-  | Error _ -> ()

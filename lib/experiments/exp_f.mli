@@ -8,5 +8,3 @@
     table confirms across nine very different substrates. *)
 
 val table : ?pool:Rv_engine.Pool.t -> ?space:int -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

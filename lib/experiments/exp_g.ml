@@ -83,8 +83,3 @@ let table_chain ?(n = 24) ?(spaces = [ 4; 8; 16; 32 ]) () =
         "forcing the last execution to Omega(E L) rounds.";
       ]
     rows
-
-let bench_kernel () =
-  let n = 12 in
-  let vectors = LB.Theorem_cheap.cheap_sim_vectors ~n ~space:8 in
-  match LB.Theorem_cheap.analyze ~n ~vectors with Ok _ -> () | Error _ -> ()

@@ -15,5 +15,3 @@ val table_progress : ?n:int -> ?spaces:int list -> unit -> Rv_util.Table.t
 
 val table_chain : ?n:int -> ?spaces:int list -> unit -> Rv_util.Table.t
 (** Part (ii). *)
-
-val bench_kernel : unit -> unit

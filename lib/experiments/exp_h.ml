@@ -97,8 +97,3 @@ let table ?(sizes = [ 8; 16; 32; 64 ]) ?(space = 8) () =
         "predicts bounded overhead ratios as n grows.";
       ]
     rows
-
-let bench_kernel () =
-  match measure ~n:8 ~space:4 ~variant:`Cheap with
-  | Ok _, Ok _ -> ()
-  | _ -> ()

@@ -6,5 +6,3 @@
     The telescoping claim predicts a bounded constant-factor overhead. *)
 
 val table : ?sizes:int list -> ?space:int -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

@@ -116,13 +116,3 @@ let table ?(n = 12) ?(space = 6) () =
         "restores rendezvous (cf. Conclusion discussion; EXPERIMENTS.md).";
       ]
     rows
-
-let bench_kernel () =
-  let g = Rv_graph.Ring.oriented 8 in
-  let explorer = Rv_explore.Ring_walk.clockwise ~n:8 in
-  ignore
-    (sweep_schedules ~g
-       ~make:(fun label -> Rv_core.Fast.schedule ~label ~explorer)
-       ~space:4 ~delays:[ 0; 3 ]
-       ~bound:(fun ~la:_ ~lb:_ ~delay:_ -> max_int)
-       ())

@@ -15,5 +15,3 @@
       the alignment the single-iteration proof needs. *)
 
 val table : ?n:int -> ?space:int -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

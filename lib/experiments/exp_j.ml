@@ -97,8 +97,3 @@ let table ?pool ?(n = 16) ?(space = 16) () =
         "failure on antipodal starts); random walks drop determinism altogether.";
       ]
     rows
-
-let bench_kernel () =
-  let n = 8 in
-  ignore (token_row ~n);
-  ignore (oracle_row ~g:(Rv_graph.Ring.oriented n) ~n ~space:4)

@@ -80,12 +80,3 @@ let table ?(n = 8) () =
         "under EVERY schedule (unit-step offset must sweep all residues mod n).";
       ]
     rows
-
-let bench_kernel () =
-  let n = 8 in
-  let g = Rv_graph.Ring.oriented n in
-  let explorer = Rv_explore.Ring_walk.clockwise ~n in
-  let route label start =
-    Async.route_of_schedule g ~start (Rv_core.Cheap.schedule ~label ~explorer)
-  in
-  ignore (Async.analyze g ~route_a:(route 1 0) ~route_b:(route 2 4))

@@ -12,5 +12,3 @@
     notion and designs different (covering-walk) algorithms. *)
 
 val table : ?n:int -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

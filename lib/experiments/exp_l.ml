@@ -65,11 +65,3 @@ let table ?(n = 32) ?(space = 8) () =
         "starts favour Fast -- knowledge of the distance regime is worth a factor.";
       ]
     rows
-
-let bench_kernel () =
-  let n = 16 in
-  let g = Rv_graph.Ring.oriented n in
-  ignore
-    (worst_at_distance ~g ~n ~space:4
-       ~make:(fun label -> Rv_baselines.Dlog.schedule ~n ~space:4 ~label)
-       2)

@@ -9,5 +9,3 @@
     [Fast] flat in [D], [Dlog] a doubling staircase proportional to [D]. *)
 
 val table : ?n:int -> ?space:int -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

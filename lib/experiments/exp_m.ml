@@ -49,5 +49,3 @@ let table ?(n = 32) ?(ks = [ 2; 4; 8; 16 ]) () =
         "agent rides with the leader) -- time O(E), cost O(kE).";
       ]
     rows
-
-let bench_kernel () = ignore (run_gathering ~n:16 ~k:4)

@@ -9,5 +9,3 @@
     the scaling in [k]. *)
 
 val table : ?n:int -> ?ks:int list -> unit -> Rv_util.Table.t
-
-val bench_kernel : unit -> unit

@@ -24,20 +24,3 @@ let by_id id =
   let target = String.uppercase_ascii id in
   let target = if String.length target <= 2 then "EXP-" ^ target else target in
   List.assoc_opt target catalog
-
-let kernels =
-  [
-    ("EXP-A", Exp_a.bench_kernel);
-    ("EXP-B", Exp_b.bench_kernel);
-    ("EXP-C", Exp_c.bench_kernel);
-    ("EXP-D", Exp_d.bench_kernel);
-    ("EXP-E", Exp_e.bench_kernel);
-    ("EXP-F", Exp_f.bench_kernel);
-    ("EXP-G", Exp_g.bench_kernel);
-    ("EXP-H", Exp_h.bench_kernel);
-    ("EXP-I", Exp_i.bench_kernel);
-    ("EXP-J", Exp_j.bench_kernel);
-    ("EXP-K", Exp_k.bench_kernel);
-    ("EXP-L", Exp_l.bench_kernel);
-    ("EXP-M", Exp_m.bench_kernel);
-  ]

@@ -1,7 +1,6 @@
 (** The full experiment suite: every table from the index in DESIGN.md,
-    in order.  [bench/main.exe] prints all of them and additionally times
-    each experiment's kernel with Bechamel; [bin/rv exp] prints selected
-    ones.
+    in order.  [rv exp --all] prints all of them (pinned by
+    [test/golden/exp_all.golden]); [rv exp ID ...] prints selected ones.
 
     [pool] parallelizes the adversarial sweeps inside each experiment
     that has one (EXP-A..F, J); the tables are bit-for-bit identical with
@@ -17,6 +16,3 @@ val by_id : string -> (?pool:Rv_engine.Pool.t -> unit -> Rv_util.Table.t) option
     part (i), "G2" part (ii)). *)
 
 val ids : string list
-
-val kernels : (string * (unit -> unit)) list
-(** Small fixed-size kernels for wall-clock benchmarking. *)

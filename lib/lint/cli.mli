@@ -1,13 +1,4 @@
-(** Shared command-line behaviour for [bin/rv_lint.ml] and [rv lint]. *)
-
-val default_paths : string list
-(** [lib; bin; bench; test; examples] — the full gated scope. *)
-
-val core_paths : string list
-(** [lib; bin; bench] — the pre-v2 scope, selectable with [--scope core]. *)
-
-val catalog : unit -> string
-(** Human-readable rule catalog (R1..R9 with rationale). *)
+(** The command line shared by [bin/rv_lint.ml] and [rv lint]. *)
 
 val run :
   ?config:Config.t ->
@@ -30,3 +21,10 @@ val run :
     regenerates the snapshot; [sarif] additionally writes a SARIF 2.1.0
     artifact of the full (pre-baseline) report.  Returns the process
     exit code: 0 clean, 1 unsuppressed findings, 2 usage error. *)
+
+val cmd : ?version:string -> string -> (int -> 'a) -> 'a Cmdliner.Cmd.t
+(** [cmd name k] is the lint command under [name]: its arguments, its man
+    page, and {!run} (or the rule catalog) as the action, whose exit code
+    is passed to [k].  [bin/rv_lint.ml] evaluates
+    [cmd ~version "rv_lint" Fun.id] with [Cmd.eval']; [rv] adds
+    [cmd "lint" exit] to its group of unit commands. *)

@@ -85,6 +85,10 @@ val run :
     thread — reproducible registry churn mixed into any seeded mix; the
     cycle replies join the sorted transcript after the main stream. *)
 
+val connect : host:string -> port:int -> (Unix.file_descr, string) result
+(** TCP connect, retried 50 times at 100 ms while the server may still be
+    binding. *)
+
 val rpc : ?host:string -> port:int -> string -> (string, string) result
 (** Send one request line on a fresh connection and return the reply
     line — the building block for scrapes and the [rv obs] client. *)

@@ -70,7 +70,7 @@ let ok = function
 let test_drip_framing () =
   with_echo_server @@ fun port seen ->
   let line = {|{"type":"run","id":7,"graph":"ring:8"}|} in
-  let fd = ok (Fault.connect ~host:"127.0.0.1" ~port ()) in
+  let fd = ok (Rv_serve.Loadgen.connect ~host:"127.0.0.1" ~port) in
   Fun.protect ~finally:(fun () -> Fault.close fd) @@ fun () ->
   ok (Fault.drip_line ~chunk:3 ~pause_s:0.002 fd line);
   let reply = ok (Fault.recv_line fd) in
@@ -84,7 +84,7 @@ let test_partial_write_framing () =
   let keep = String.length line / 2 in
   let seen_at_eof =
     with_echo_server @@ fun port seen ->
-    let fd = ok (Fault.connect ~host:"127.0.0.1" ~port ()) in
+    let fd = ok (Rv_serve.Loadgen.connect ~host:"127.0.0.1" ~port) in
     ok (Fault.send_partial fd line ~keep);
     Fault.close fd;
     (* with_echo_server joins the echo thread before returning *)
@@ -335,8 +335,8 @@ let test_fixture_roundtrip () =
    current tree finds no mismatch.  (Planted-fault fixtures are never
    committed — they only exist to exercise this very pipeline.) *)
 let test_replay_committed_fixtures () =
-  let dir = "fixtures" in
-  let entries = if Sys.file_exists dir then Sys.readdir dir else [||] in
+  let dir = Test_data.path "fixtures" in
+  let entries = Sys.readdir dir in
   Array.sort String.compare entries;
   Array.iter
     (fun entry ->

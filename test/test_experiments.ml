@@ -332,7 +332,8 @@ let test_exp_all_golden () =
          (Rv_experiments.Report.all ()))
   in
   Alcotest.(check string) "rv exp --all output"
-    (In_channel.with_open_bin "golden/exp_all.golden" In_channel.input_all)
+    (In_channel.with_open_bin (Test_data.path "golden/exp_all.golden")
+       In_channel.input_all)
     rendered
 
 let test_exp_k_small () =

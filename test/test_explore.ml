@@ -340,7 +340,9 @@ let render_walks () =
 
 let test_walks_golden () =
   Alcotest.(check string) "every execution's ports are pinned"
-    (In_channel.with_open_bin "golden/explore_walks.golden" In_channel.input_all)
+    (In_channel.with_open_bin
+       (Test_data.path "golden/explore_walks.golden")
+       In_channel.input_all)
     (render_walks ())
 
 (* The Hamiltonian certificate of [any_graph seed], where its family has

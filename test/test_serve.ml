@@ -1174,8 +1174,9 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Compare [rendered] with a golden file byte for byte; RV_UPDATE_GOLDEN=1
-   rewrites the file first (run from the test source directory). *)
-let check_golden name path rendered =
+   rewrites the file first. *)
+let check_golden name file rendered =
+  let path = Test_data.path file in
   if
     (match Sys.getenv_opt "RV_UPDATE_GOLDEN" with
     | Some "1" -> true
