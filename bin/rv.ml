@@ -65,7 +65,8 @@ let parse_common ~graph ~explorer ~algo =
 (* The two agents of one rendezvous (run, trace): labels, starts, wake-up
    delays and the placement model.  B starts at the antipode of A's start
    unless --start-b is given, so the term yields a function of the graph
-   size [n]. *)
+   size [n]; it also checks the agents against [n] and the label space,
+   failing as a usage error. *)
 type agents = { a : R.party; b : R.party; model : Rv_sim.Sim.model }
 
 let agents_arg =
@@ -82,13 +83,12 @@ let agents_arg =
   let parachute =
     Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
   in
-  let agents la lb sa sb da db parachute ~n =
+  let agents la lb sa sb da db parachute ~n ~space =
     let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
-    {
-      a = { R.label = la; start = sa; delay = da };
-      b = { R.label = lb; start = sb; delay = db };
-      model = (if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting);
-    }
+    let a = { R.label = la; start = sa; delay = da }
+    and b = { R.label = lb; start = sb; delay = db } in
+    or_die (R.check_parties ~n ~space a b);
+    { a; b; model = (if parachute then Rv_sim.Sim.Parachute else Rv_sim.Sim.Waiting) }
   in
   Term.(const agents $ la $ lb $ sa $ sb $ da $ db $ parachute)
 
@@ -167,7 +167,7 @@ let with_metrics metrics f =
 let run_cmd =
   let run graph explorer algo space agents trace =
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
-    let ag = agents ~n:(Rv_graph.Port_graph.n gs.Spec.g) in
+    let ag = agents ~n:(Rv_graph.Port_graph.n gs.Spec.g) ~space in
     let out =
       R.run ~model:ag.model ~record:trace ~g:gs.Spec.g ~explorer:ex ~algorithm
         ~space ag.a ag.b
@@ -197,7 +197,7 @@ let run_cmd =
 let trace_cmd =
   let trace graph explorer algo space agents trace_max_rounds chrome jsonl =
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
-    let ag = agents ~n:(Rv_graph.Port_graph.n gs.Spec.g) in
+    let ag = agents ~n:(Rv_graph.Port_graph.n gs.Spec.g) ~space in
     Rv_obs.Obs.set_enabled true;
     Rv_obs.Obs.set_deep true;
     Rv_obs.Obs.reset ();

@@ -53,6 +53,23 @@ let proven_cost_bound algorithm ~e ~space =
   | Fwr w -> Bounds.fwr_cost_general ~e ~scheme:(Relabel.scheme ~space ~weight:w)
   | Fwr_simultaneous w -> Bounds.fwr_sim_cost ~e ~scheme:(Relabel.scheme ~space ~weight:w)
 
+let check_parties ~n ~space pa pb =
+  let check name p =
+    if p.label < 1 || p.label > space then
+      Error (Printf.sprintf "agent %s: label %d is outside 1..%d" name p.label space)
+    else if p.start < 0 || p.start >= n then
+      Error (Printf.sprintf "agent %s: start %d is not a node (0..%d)" name p.start (n - 1))
+    else if p.delay < 0 then Error (Printf.sprintf "agent %s: delay %d is negative" name p.delay)
+    else Ok ()
+  in
+  Result.bind (check "A" pa) (fun () ->
+      Result.bind (check "B" pb) (fun () ->
+          if pa.label = pb.label then
+            Error (Printf.sprintf "agents A and B have the same label %d" pa.label)
+          else if pa.start = pb.start then
+            Error (Printf.sprintf "agents A and B start at the same node %d" pa.start)
+          else Ok ()))
+
 let run ?model ?record ?trace_cap ?max_rounds ~g ~explorer ~algorithm ~space pa pb =
   if pa.label = pb.label then invalid_arg "Rendezvous.run: labels must be distinct";
   let ex_a = explorer ~start:pa.start and ex_b = explorer ~start:pb.start in

@@ -32,6 +32,13 @@ val proven_time_bound : algorithm -> e:int -> space:int -> int
 val proven_cost_bound : algorithm -> e:int -> space:int -> int
 (** The paper's worst-case cost bound. *)
 
+val check_parties : n:int -> space:int -> party -> party -> (unit, string) result
+(** [Ok ()] when the two parties are a valid input to {!run} on a graph
+    of [n] nodes with label space [space]: labels in [1..space] and
+    distinct, starts in [0..n-1] and distinct, delays non-negative.
+    Otherwise [Error] names the first offending field and agent, for a
+    caller to report instead of {!run} raising. *)
+
 val run :
   ?model:Rv_sim.Sim.model ->
   ?record:bool ->

@@ -14,13 +14,36 @@ type t = {
   cost : int;
 }
 
-(* JSON writing: a fixed template, the sink's per-record path. *)
+(* JSON writing: the fixed template, piece by piece, straight into the
+   caller's buffer — the sink's per-record path, which builds no string. *)
+
+let add_json b r =
+  Buffer.add_string b {|{"graph":"|};
+  Json.add_escaped b r.graph;
+  Buffer.add_string b {|","algorithm":"|};
+  Json.add_escaped b r.algorithm;
+  Buffer.add_string b {|","label_a":|};
+  Json.add_int b r.label_a;
+  Buffer.add_string b {|,"label_b":|};
+  Json.add_int b r.label_b;
+  Buffer.add_string b {|,"start_a":|};
+  Json.add_int b r.start_a;
+  Buffer.add_string b {|,"start_b":|};
+  Json.add_int b r.start_b;
+  Buffer.add_string b {|,"delay_a":|};
+  Json.add_int b r.delay_a;
+  Buffer.add_string b {|,"delay_b":|};
+  Json.add_int b r.delay_b;
+  Buffer.add_string b (if r.met then {|,"met":true,"time":|} else {|,"met":false,"time":|});
+  Json.add_int b r.time;
+  Buffer.add_string b {|,"cost":|};
+  Json.add_int b r.cost;
+  Buffer.add_char b '}'
 
 let to_json r =
-  Printf.sprintf
-    {|{"graph":"%s","algorithm":"%s","label_a":%d,"label_b":%d,"start_a":%d,"start_b":%d,"delay_a":%d,"delay_b":%d,"met":%b,"time":%d,"cost":%d}|}
-    (Json.escape r.graph) (Json.escape r.algorithm) r.label_a r.label_b r.start_a
-    r.start_b r.delay_a r.delay_b r.met r.time r.cost
+  let b = Buffer.create 160 in
+  add_json b r;
+  Buffer.contents b
 
 (* JSON reading: the shared codec, then each field at its exact type — an
    integral float such as [1.0] is not an integer here, and an integer
@@ -64,19 +87,50 @@ let of_json line =
 let csv_header =
   "graph,algorithm,label_a,label_b,start_a,start_b,delay_a,delay_b,met,time,cost"
 
-let escape_csv s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then begin
-    let b = Buffer.create (String.length s + 2) in
+(* A field is quoted when it holds a comma, quote or line break; quotes
+   inside are doubled.  (A top-level scan: [String.exists] would build a
+   closure per field.) *)
+let rec needs_quotes s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | ',' | '"' | '\n' | '\r' -> true
+  | _ -> needs_quotes s (i + 1)
+
+let add_csv_field b s =
+  if not (needs_quotes s 0) then Buffer.add_string b s
+  else begin
     Buffer.add_char b '"';
-    String.iter
-      (fun c -> if c = '"' then Buffer.add_string b "\"\"" else Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
+      | '"' -> Buffer.add_string b {|""|}
+      | c -> Buffer.add_char b c
+    done;
+    Buffer.add_char b '"'
   end
-  else s
+
+let add_csv b r =
+  add_csv_field b r.graph;
+  Buffer.add_char b ',';
+  add_csv_field b r.algorithm;
+  Buffer.add_char b ',';
+  Json.add_int b r.label_a;
+  Buffer.add_char b ',';
+  Json.add_int b r.label_b;
+  Buffer.add_char b ',';
+  Json.add_int b r.start_a;
+  Buffer.add_char b ',';
+  Json.add_int b r.start_b;
+  Buffer.add_char b ',';
+  Json.add_int b r.delay_a;
+  Buffer.add_char b ',';
+  Json.add_int b r.delay_b;
+  Buffer.add_string b (if r.met then ",true," else ",false,");
+  Json.add_int b r.time;
+  Buffer.add_char b ',';
+  Json.add_int b r.cost
 
 let to_csv r =
-  Printf.sprintf "%s,%s,%d,%d,%d,%d,%d,%d,%b,%d,%d" (escape_csv r.graph)
-    (escape_csv r.algorithm) r.label_a r.label_b r.start_a r.start_b r.delay_a
-    r.delay_b r.met r.time r.cost
+  let b = Buffer.create 64 in
+  add_csv b r;
+  Buffer.contents b

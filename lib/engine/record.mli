@@ -30,8 +30,15 @@ type t = {
   cost : int;
 }
 
+val add_json : Buffer.t -> t -> unit
+(** Append the record's single-line JSON object (no trailing newline) to
+    the buffer.  The fixed template is written piece by piece with
+    {!Rv_obs.Json.add_escaped} and {!Rv_obs.Json.add_int}, so nothing is
+    allocated beyond growing the buffer: {!Sink} renders every record
+    this way into a buffer it owns. *)
+
 val to_json : t -> string
-(** Single-line JSON object (no trailing newline). *)
+(** The same line as {!add_json}, as a fresh string. *)
 
 val of_json : string -> (t, string) result
 (** Parse a line produced by {!to_json}.  Tolerates whitespace and field
@@ -43,6 +50,10 @@ val of_json : string -> (t, string) result
 val csv_header : string
 (** Column names, comma-separated, matching {!to_csv}. *)
 
+val add_csv : Buffer.t -> t -> unit
+(** Append one CSV row (no trailing newline) to the buffer, allocating
+    nothing beyond growing it; string fields are quoted when they contain
+    a comma, quote, newline or carriage return, with quotes doubled. *)
+
 val to_csv : t -> string
-(** One CSV row (no trailing newline); string fields are quoted when they
-    contain a comma, quote or newline. *)
+(** The same row as {!add_csv}, as a fresh string. *)

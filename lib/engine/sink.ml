@@ -1,7 +1,9 @@
+(* A line sink renders each record into its own buffer (cleared per
+   record, so it only grows to the longest line) and hands the bytes to
+   the channel in one write: no per-record string is built. *)
 type target =
   | Null
-  | Jsonl of out_channel
-  | Csv of out_channel
+  | Lines of { oc : out_channel; buf : Buffer.t; add : Buffer.t -> Record.t -> unit }
   | Memory of Record.t list ref
   | Tee of t list
 
@@ -29,23 +31,25 @@ let make ?owned target =
 
 let null () = make Null
 let memory () = make (Memory (ref []))
-let jsonl oc = make (Jsonl oc)
 
-let write_csv_header oc = output_string oc (Record.csv_header ^ "\n")
+(* A JSONL or CSV sink on [oc]; a CSV one writes its header first. *)
+let lines ?owned format oc =
+  let add =
+    match format with
+    | `Jsonl -> Record.add_json
+    | `Csv ->
+        output_string oc (Record.csv_header ^ "\n");
+        Record.add_csv
+  in
+  make ?owned (Lines { oc; buf = Buffer.create 256; add })
 
-let csv oc =
-  write_csv_header oc;
-  make (Csv oc)
+let jsonl oc = lines `Jsonl oc
+let csv oc = lines `Csv oc
 
 let file ?(fsync = false) format path =
   let tmp_path = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let oc = open_out tmp_path in
-  let owned = { oc; tmp_path; final_path = path; fsync } in
-  match format with
-  | `Jsonl -> make ~owned (Jsonl oc)
-  | `Csv ->
-      write_csv_header oc;
-      make ~owned (Csv oc)
+  lines ~owned:{ oc; tmp_path; final_path = path; fsync } format oc
 
 let tee children = make (Tee children)
 
@@ -58,13 +62,23 @@ let rec emit t r =
   t.emitted <- t.emitted + 1;
   (match t.target with
   | Null -> ()
-  | Jsonl oc -> output_string oc (Record.to_json r ^ "\n")
-  | Csv oc -> output_string oc (Record.to_csv r ^ "\n")
+  | Lines { oc; buf; add } ->
+      Buffer.clear buf;
+      add buf r;
+      Buffer.add_char buf '\n';
+      Buffer.output_buffer oc buf
   | Memory buf -> buf := r :: !buf
   | Tee _ -> ());
   Mutex.unlock t.lock;
   (* Children lock themselves; don't hold the parent's mutex across them. *)
-  match t.target with Tee children -> List.iter (fun c -> emit c r) children | _ -> ()
+  match t.target with Tee children -> emit_all children r | _ -> ()
+
+and emit_all children r =
+  match children with
+  | [] -> ()
+  | c :: rest ->
+      emit c r;
+      emit_all rest r
 
 let count t =
   Mutex.lock t.lock;
@@ -103,7 +117,7 @@ let rec close t =
   if not t.closed then begin
     t.closed <- true;
     (match t.target with
-    | Jsonl oc | Csv oc -> (
+    | Lines { oc; _ } -> (
         match t.owned with
         | Some o ->
             flush o.oc;

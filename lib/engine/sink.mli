@@ -5,7 +5,9 @@
     on that for ordering: {!Sweep} merges task results in index order on
     the calling domain, and [Workload.worst_for] emits records during
     that merge — so the byte stream written by a JSONL or CSV sink is
-    identical for any [--jobs] value. *)
+    identical for any [--jobs] value.  A JSONL or CSV sink renders each
+    record into a buffer it owns, under its mutex, and builds no
+    per-record string. *)
 
 type t
 
@@ -16,12 +18,17 @@ val memory : unit -> t
 (** Buffers records in memory; retrieve them with {!records}. *)
 
 val jsonl : out_channel -> t
-(** Writes one {!Record.to_json} line per record.  The channel stays
-    owned by the caller; {!close} only flushes it. *)
+(** Writes one {!Record.to_json} line per record.  The sink owns one
+    buffer: {!emit} renders the record into it with {!Record.add_json},
+    appends the newline and hands the bytes to the channel in one write,
+    so no per-record string is built.  The channel stays owned by the
+    caller; {!close} only flushes it. *)
 
 val csv : out_channel -> t
-(** Writes {!Record.csv_header} immediately, then one row per record.
-    The channel stays owned by the caller; {!close} only flushes it. *)
+(** Writes {!Record.csv_header} immediately, then one {!Record.to_csv}
+    row per record, rendered with {!Record.add_csv} into the sink's own
+    buffer as {!jsonl} does.  The channel stays owned by the caller;
+    {!close} only flushes it. *)
 
 val file : ?fsync:bool -> [ `Jsonl | `Csv ] -> string -> t
 (** Like {!jsonl} / {!csv} on a sink-owned file, written atomically: the

@@ -10,34 +10,33 @@ type t =
 (* Escaping writes straight into the output buffer; the common case — no
    character needs escaping — is a single scan plus one [add_string],
    with no intermediate allocation (serve replies render one of these
-   per field, so this is on the index/cache hit path). *)
-let needs_escape s =
-  let n = String.length s in
-  let rec go i =
-    i < n
-    &&
-    match String.unsafe_get s i with
-    | '"' | '\\' -> true
-    | c when Char.code c < 0x20 -> true
-    | _ -> go (i + 1)
-  in
-  go 0
+   per field, sweep records two per line). *)
+let rec needs_escape s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | '"' | '\\' -> true
+  | c when Char.code c < 0x20 -> true
+  | _ -> needs_escape s (i + 1)
+
+let hex_digits = "0123456789abcdef"
 
 let add_escaped b s =
-  if not (needs_escape s) then Buffer.add_string b s
+  if not (needs_escape s 0) then Buffer.add_string b s
   else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s
+    for i = 0 to String.length s - 1 do
+      match String.unsafe_get s i with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b hex_digits.[Char.code c lsr 4];
+          Buffer.add_char b hex_digits.[Char.code c land 0xf]
+      | c -> Buffer.add_char b c
+    done
 
 let float_to_string f =
   if
@@ -48,12 +47,23 @@ let float_to_string f =
   else Printf.sprintf "%.12g" f
 
 (* Serve replies are mostly small non-negative ints; rendering them from
-   a fixed table skips a string_of_int allocation per field. *)
+   a fixed table skips the digit loop for each such field. *)
 let small_int_strings = Array.init 1024 string_of_int
+
+(* The decimal digits of [n <= 0], most significant first.  Staying on
+   the non-positive side covers [min_int], which has no positive
+   counterpart; [n mod 10] is then in -9..0. *)
+let rec add_nonpositive_digits b n =
+  if n <= -10 then add_nonpositive_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
 
 let add_int b i =
   if i >= 0 && i < 1024 then Buffer.add_string b (Array.unsafe_get small_int_strings i)
-  else Buffer.add_string b (string_of_int i)
+  else if i < 0 then begin
+    Buffer.add_char b '-';
+    add_nonpositive_digits b i
+  end
+  else add_nonpositive_digits b (-i)
 
 let to_string t =
   let b = Buffer.create 512 in
@@ -88,14 +98,6 @@ let to_string t =
   in
   go t;
   Buffer.contents b
-
-let escape s =
-  if not (needs_escape s) then s
-  else begin
-    let b = Buffer.create (String.length s + 8) in
-    add_escaped b s;
-    Buffer.contents b
-  end
 
 exception Bad of string
 

@@ -18,10 +18,20 @@ type t =
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace), valid JSON. *)
 
-val escape : string -> string
-(** The body of a JSON string literal for [s], without the quotes, as
-    {!to_string} writes it: [s] itself (no copy) when nothing needs
-    escaping.  For writers that render a fixed template with [Printf]. *)
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped b s] appends the body of the JSON string literal for
+    [s], without the quotes, exactly as {!to_string} writes it: ['"'],
+    ['\\'], newline, carriage return and tab as two-character escapes,
+    other bytes below [0x20] as [\u00XX] (lowercase hex), every other
+    byte as is.  Allocates nothing: a string with nothing to escape is
+    one scan and one [Buffer.add_string].  For writers that render a
+    fixed template straight into a buffer ([Rv_engine.Record.add_json]). *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int b i] appends [string_of_int i] without building it: ints in
+    [0..1023] come from a fixed table, every other int (down to
+    [min_int]) is written digit by digit.  Allocates nothing beyond what
+    growing [b] takes. *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a position-annotated

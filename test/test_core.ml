@@ -578,6 +578,45 @@ let test_run_validations () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "mismatched explorer bounds accepted"
 
+(* Every input that [run] would reject with an exception is an [Error]
+   from [check_parties], and every accepted one runs. *)
+let test_check_parties () =
+  let n = 8 and space = 16 in
+  let p label start delay = { R.label; start; delay } in
+  let ok = (p 3 0 0, p 11 4 0) in
+  let cases =
+    [
+      ("valid", ok, true);
+      ("valid edges", (p 1 0 0, p 16 7 1000), true);
+      ("label above L", (p 99 0 0, p 11 4 0), false);
+      ("label 0", (p 3 0 0, p 0 4 0), false);
+      ("same labels", (p 2 0 0, p 2 4 0), false);
+      ("start past n", (p 3 0 0, p 11 99 0), false);
+      ("start n", (p 3 8 0, p 11 4 0), false);
+      ("negative start", (p 3 (-1) 0, p 11 4 0), false);
+      ("same starts", (p 3 0 0, p 11 0 0), false);
+      ("negative delay", (p 3 0 (-3), p 11 4 0), false);
+    ]
+  in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer ~start = ignore start; ring_ex n in
+  List.iter
+    (fun (name, (a, b), valid) ->
+      match R.check_parties ~n ~space a b with
+      | Ok () ->
+          Alcotest.(check bool) (name ^ " accepted") true valid;
+          let out = R.run ~g ~explorer ~algorithm:R.Fast ~space a b in
+          Alcotest.(check bool) (name ^ " meets") true (out.Sim.meeting_round <> None)
+      | Error msg ->
+          Alcotest.(check bool) (name ^ " rejected: " ^ msg) false valid;
+          (match R.run ~g ~explorer ~algorithm:R.Fast ~space a b with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail (name ^ ": rejected input runs")))
+    cases;
+  Alcotest.(check bool) "the error names the agent and the field" true
+    (R.check_parties ~n ~space:8 (p 3 0 0) (p 11 4 0)
+    = Error "agent B: label 11 is outside 1..8")
+
 let test_algorithm_names () =
   Alcotest.(check string) "cheap" "cheap" (R.name R.Cheap);
   Alcotest.(check string) "fwr" "fwr(w=3)" (R.name (R.Fwr 3));
@@ -635,5 +674,9 @@ let () =
           tc "telescoping overhead bounded" test_unknown_e_overhead_bounded;
         ] );
       ( "facade",
-        [ tc "validations" test_run_validations; tc "names" test_algorithm_names ] );
+        [
+          tc "validations" test_run_validations;
+          tc "check_parties" test_check_parties;
+          tc "names" test_algorithm_names;
+        ] );
     ]

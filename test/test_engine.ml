@@ -192,6 +192,86 @@ let test_csv () =
   Alcotest.(check string) "quoted row"
     "\"a,\"\"b\"\"\",fast,3,11,0,32,0,5,true,812,422" (Record.to_csv r)
 
+(* The templates the writers replaced, kept as the oracle: [Printf] over
+   the old escapers. *)
+module Oracle = struct
+  let json_escape s =
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+
+  let to_json (r : Record.t) =
+    Printf.sprintf
+      {|{"graph":"%s","algorithm":"%s","label_a":%d,"label_b":%d,"start_a":%d,"start_b":%d,"delay_a":%d,"delay_b":%d,"met":%b,"time":%d,"cost":%d}|}
+      (json_escape r.graph) (json_escape r.algorithm) r.label_a r.label_b r.start_a
+      r.start_b r.delay_a r.delay_b r.met r.time r.cost
+
+  let csv_escape s =
+    if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s then begin
+      let b = Buffer.create (String.length s + 2) in
+      Buffer.add_char b '"';
+      String.iter
+        (fun c -> if c = '"' then Buffer.add_string b "\"\"" else Buffer.add_char b c)
+        s;
+      Buffer.add_char b '"';
+      Buffer.contents b
+    end
+    else s
+
+  let to_csv (r : Record.t) =
+    Printf.sprintf "%s,%s,%d,%d,%d,%d,%d,%d,%b,%d,%d" (csv_escape r.graph)
+      (csv_escape r.algorithm) r.label_a r.label_b r.start_a r.start_b r.delay_a
+      r.delay_b r.met r.time r.cost
+end
+
+(* Strings over the bytes the escapers single out, or any bytes at all;
+   ints over the whole range with the table's and [int]'s edges forced
+   in. *)
+let record_gen =
+  let open QCheck.Gen in
+  let special =
+    oneofl [ '"'; '\\'; ','; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\200'; 'a'; ' ' ]
+  in
+  let str = oneof [ string_size ~gen:special (0 -- 12); string; string_printable ] in
+  let int = oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1; 1023; 1024 ] ] in
+  map
+    (fun ((graph, algorithm, met), (la, lb, sa, sb), (da, db, time, cost)) ->
+      {
+        Record.graph;
+        algorithm;
+        label_a = la;
+        label_b = lb;
+        start_a = sa;
+        start_b = sb;
+        delay_a = da;
+        delay_b = db;
+        met;
+        time;
+        cost;
+      })
+    (triple (triple str str bool) (quad int int int int) (quad int int int int))
+
+let record_arb =
+  QCheck.make record_gen ~print:(fun r -> Oracle.to_json r ^ "\n" ^ Oracle.to_csv r)
+
+let prop_writers_match_templates =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"to_json and to_csv equal the Printf templates"
+       record_arb (fun r ->
+         String.equal (Record.to_json r) (Oracle.to_json r)
+         && String.equal (Record.to_csv r) (Oracle.to_csv r)))
+
 (* ------------------------------------------------------------------ Sink *)
 
 let test_sinks () =
@@ -260,6 +340,113 @@ let test_sink_fsync () =
   Sys.remove path;
   Alcotest.(check string) "csv header" Record.csv_header header;
   Alcotest.(check string) "csv row" (Record.to_csv sample_record) row
+
+(* Once the first record has sized its buffer, a JSONL or CSV sink, and
+   a tee of both (as `rv sweep --jsonl F --csv G` builds), renders and
+   writes each record without touching the minor heap.  The longest
+   record goes first. *)
+let test_sink_emit_allocates_nothing () =
+  let records =
+    Array.of_list
+      ({ sample_record with graph = "ring:64,\"x\"\tz"; label_b = min_int; cost = max_int }
+      :: List.init 50 (fun k -> { sample_record with start_b = k * 997; time = 5000 + k }))
+  in
+  List.iter
+    (fun (name, make) ->
+      let oc = open_out_bin "/dev/null" in
+      let sink = make oc in
+      Sink.emit sink records.(0);
+      let before = Gc.minor_words () in
+      for _ = 1 to 20 do
+        for k = 0 to Array.length records - 1 do
+          Sink.emit sink records.(k)
+        done
+      done;
+      let words = Gc.minor_words () -. before in
+      Sink.close sink;
+      close_out oc;
+      Alcotest.(check (float 0.)) (name ^ ": minor words after the first record") 0. words)
+    [
+      ("jsonl", Sink.jsonl);
+      ("csv", Sink.csv);
+      ("tee", fun oc -> Sink.tee [ Sink.jsonl oc; Sink.csv oc ]);
+    ]
+
+(* ---------------------------------------------------------------- golden *)
+
+(* The bytes the JSONL and CSV sinks write, pinned: a small sweep streamed
+   through a tee of both, then hand-built records whose strings hold every
+   byte class the escapers treat specially and whose ints reach both ends
+   of [int]. *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* What a tee of a JSONL and a CSV sink wrote while [f] emitted to it. *)
+let through_tee f =
+  let jpath = Filename.temp_file "rv_golden" ".jsonl" in
+  let cpath = Filename.temp_file "rv_golden" ".csv" in
+  let joc = open_out_bin jpath and coc = open_out_bin cpath in
+  let sink = Sink.tee [ Sink.jsonl joc; Sink.csv coc ] in
+  f sink;
+  Sink.close sink;
+  close_out joc;
+  close_out coc;
+  let j = read_file jpath and c = read_file cpath in
+  Sys.remove jpath;
+  Sys.remove cpath;
+  (j, c)
+
+let odd_records =
+  [
+    { sample_record with graph = "quote\" back\\slash"; met = false; time = 0; cost = 0 };
+    {
+      Record.graph = "tab\tctl\001us\031del\127comma,newline\ncr\rend";
+      algorithm = "fwr:2,\"w\"";
+      label_a = -1;
+      label_b = min_int;
+      start_a = max_int;
+      start_b = -1024;
+      delay_a = 1023;
+      delay_b = 1024;
+      met = false;
+      time = min_int;
+      cost = max_int;
+    };
+    { sample_record with graph = ""; algorithm = "caf\xc3\xa9"; label_a = 0; time = -999_999 };
+  ]
+
+let render_records_golden () =
+  let g = Rv_graph.Ring.oriented 8 in
+  let sweep_j, sweep_c =
+    through_tee (fun sink ->
+        match
+          W.worst_for ~sink ~graph_spec:"ring:8" ~g ~algorithm:R.Fast ~space:8
+            ~explorer:(fun ~start -> ignore start; Rv_explore.Ring_walk.clockwise ~n:8)
+            ~pairs:[ (1, 8); (3, 5) ] ~positions:`All_pairs ~delays:[ (0, 0); (0, 3) ] ()
+        with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+  in
+  let odd_j, odd_c = through_tee (fun sink -> List.iter (Sink.emit sink) odd_records) in
+  String.concat ""
+    [
+      "# ring:8, L=8, fast, pairs (1,8) (3,5), all start pairs, delays (0,0) (0,3): JSONL\n";
+      sweep_j;
+      "# the same sweep: CSV\n";
+      sweep_c;
+      "# hand-built records: JSONL\n";
+      odd_j;
+      "# hand-built records: CSV\n";
+      odd_c;
+    ]
+
+(* RV_UPDATE_GOLDEN=1 rewrites the file first. *)
+let test_records_golden () =
+  let rendered = render_records_golden () in
+  let path = Test_data.path "golden/records.golden" in
+  if Sys.getenv_opt "RV_UPDATE_GOLDEN" = Some "1" then
+    Out_channel.with_open_bin path (fun oc -> output_string oc rendered);
+  Alcotest.(check string) "sink bytes are pinned" (read_file path) rendered
 
 (* ---------------------------------------- parallel worst_for == sequential *)
 
@@ -353,13 +540,19 @@ let () =
           tc "throughput and eta" test_progress_throughput_eta;
         ] );
       ( "record",
-        [ tc "jsonl roundtrip" test_jsonl_roundtrip; tc "csv" test_csv ] );
+        [
+          tc "jsonl roundtrip" test_jsonl_roundtrip;
+          tc "csv" test_csv;
+          prop_writers_match_templates;
+        ] );
       ( "sink",
         [
           tc "memory/null/file sinks" test_sinks;
           tc "file sinks rename atomically on close" test_sink_atomic_rename;
           tc "fsync-on-close leaves bytes unchanged" test_sink_fsync;
+          tc "emit allocates nothing after the first record" test_sink_emit_allocates_nothing;
         ] );
+      ("golden", [ tc "JSONL and CSV sink bytes" test_records_golden ]);
       ( "worst_for",
         [
           tc "parallel == sequential (3 families x 2 algorithms)"

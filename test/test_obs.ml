@@ -62,6 +62,43 @@ let test_json_roundtrip () =
       | Error _ -> ())
     [ ""; "{"; "[1,"; "{\"a\":}"; "nul"; "1 2" ]
 
+(* [Json.add_int] is [string_of_int] without the string: the small-int
+   table, the digit writer on both signs, and [min_int], which has no
+   positive counterpart. *)
+let add_int_string i =
+  let b = Buffer.create 24 in
+  Json.add_int b i;
+  Buffer.contents b
+
+let int_edges =
+  let powers = List.init 18 (fun k -> int_of_float (10. ** float_of_int (k + 1))) in
+  [ min_int; min_int + 1; max_int; max_int - 1; 0; 1; -1; 9; 10; 1023; 1024; -1023; -1024 ]
+  @ List.concat_map (fun p -> [ p - 1; p; p + 1; -p + 1; -p; -p - 1 ]) powers
+
+let test_add_int_edges () =
+  List.iter
+    (fun i -> Alcotest.(check string) (string_of_int i) (string_of_int i) (add_int_string i))
+    int_edges
+
+let prop_add_int =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"add_int equals string_of_int"
+       (QCheck.make ~print:string_of_int
+          QCheck.Gen.(oneof [ int; small_signed_int; int_range (-5000) 5000; oneofl int_edges ]))
+       (fun i -> String.equal (add_int_string i) (string_of_int i)))
+
+(* Once the buffer is big enough, writing an int touches no heap. *)
+let test_add_int_allocates_nothing () =
+  let b = Buffer.create 64 in
+  let ints = Array.of_list (int_edges @ List.init 2000 (fun k -> (k * 7919) - 5000)) in
+  let before = Gc.minor_words () in
+  for k = 0 to Array.length ints - 1 do
+    Buffer.clear b;
+    Json.add_int b ints.(k)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* ----------------------------------------------------------------- spans *)
 
 let test_span_nesting =
@@ -395,7 +432,13 @@ let test_window_stats_many () =
 let () =
   Alcotest.run "rv_obs"
     [
-      ("json", [ tc "to_string/parse roundtrip" test_json_roundtrip ]);
+      ( "json",
+        [
+          tc "to_string/parse roundtrip" test_json_roundtrip;
+          tc "add_int at the edges" test_add_int_edges;
+          prop_add_int;
+          tc "add_int allocates nothing" test_add_int_allocates_nothing;
+        ] );
       ( "spans",
         [
           tc "nesting and balance" test_span_nesting;
