@@ -75,7 +75,8 @@ let agents_arg =
   let sa = Arg.(value & opt int 0 & info [ "start-a" ] ~doc:"Start node of A.") in
   let sb =
     Arg.(
-      value & opt int (-1)
+      value
+      & opt (some ~none:"antipode" int) None
       & info [ "start-b" ] ~doc:"Start node of B (default: antipode).")
   in
   let da = Arg.(value & opt int 0 & info [ "delay-a" ] ~doc:"Wake-up delay of A.") in
@@ -84,7 +85,7 @@ let agents_arg =
     Arg.(value & flag & info [ "parachute" ] ~doc:"Use the parachute placement model.")
   in
   let agents la lb sa sb da db parachute ~n ~space =
-    let sb = if sb < 0 then (sa + (n / 2)) mod n else sb in
+    let sb = match sb with Some sb -> sb | None -> (sa + (n / 2)) mod n in
     let a = { R.label = la; start = sa; delay = da }
     and b = { R.label = lb; start = sb; delay = db } in
     or_die (R.check_parties ~n ~space a b);

@@ -139,20 +139,19 @@ let open_ path =
 
 (* --- lookups ------------------------------------------------------------ *)
 
-(* Compare [probe] against record [i]'s padded key.  The probe is
-   virtually NUL-padded, so this is exactly memcmp on fixed-width keys,
-   which (NUL sorting first) agrees with Key.compare on the originals. *)
-let compare_key_at t probe i =
-  let off = t.records_off + (i * t.record_size) in
-  let klen = String.length probe in
-  let rec go j =
-    if j >= t.key_width then 0
-    else
-      let pc = if j < klen then Char.code (String.unsafe_get probe j) else 0 in
-      let mc = Char.code (Bigarray.Array1.unsafe_get t.map (off + j)) in
-      if pc = mc then go (j + 1) else Int.compare pc mc
-  in
-  go 0
+(* Compare [probe] against the padded key at [off], from byte [j] on.
+   The probe is virtually NUL-padded, so this is exactly memcmp on
+   fixed-width keys, which (NUL sorting first) agrees with Key.compare
+   on the originals. *)
+let rec compare_key t probe off j =
+  if j >= t.key_width then 0
+  else
+    let pc =
+      if j < String.length probe then Char.code (String.unsafe_get probe j)
+      else 0
+    in
+    let mc = Char.code (Bigarray.Array1.unsafe_get t.map (off + j)) in
+    if pc = mc then compare_key t probe off (j + 1) else Int.compare pc mc
 
 (* Little-endian 64-bit read as a native int, no Int64 boxing (this is
    the per-lookup hot path; values are OCaml ints by construction, so
@@ -184,18 +183,21 @@ let key_at t i =
   done;
   String.init !len (fun j -> Bigarray.Array1.get t.map (off + j))
 
+(* The index of the record whose key is [probe] among records
+   [lo, hi), or -1: a binary search that allocates nothing. *)
+let rec search t probe lo hi =
+  if lo >= hi then -1
+  else
+    let mid = lo + ((hi - lo) / 2) in
+    let c = compare_key t probe (t.records_off + (mid * t.record_size)) 0 in
+    if c = 0 then mid
+    else if c < 0 then search t probe lo mid
+    else search t probe (mid + 1) hi
+
 let lookup t probe =
   if String.length probe > t.key_width then None
   else
-    let rec search lo hi =
-      if lo >= hi then None
-      else
-        let mid = lo + ((hi - lo) / 2) in
-        let c = compare_key_at t probe mid in
-        if c = 0 then Some (values_at t mid)
-        else if c < 0 then search lo mid
-        else search (mid + 1) hi
-    in
-    search 0 t.record_count
+    let i = search t probe 0 t.record_count in
+    if i < 0 then None else Some (values_at t i)
 
 let entries t = List.init t.record_count (fun i -> (key_at t i, values_at t i))

@@ -817,42 +817,110 @@ let serve_line t conn ~sp line =
               | `Overloaded -> shed "admission queue full"
               | `Draining -> shed "server draining"))))
 
-(* Bounded line reader: a hostile peer must not make us buffer an
-   arbitrarily long line.  Overlong lines are consumed to their newline
-   and reported, so the connection survives. *)
-let read_line_bounded ic max_len =
-  let b = Buffer.create 256 in
-  let rec skip () =
-    match input_char ic with
-    | '\n' -> `Too_long
-    | _ -> skip ()
-    | exception (End_of_file | Sys_error _) -> `Too_long
-  in
-  let rec go () =
-    match input_char ic with
-    | '\n' -> `Line (Buffer.contents b)
-    | c ->
-        if Buffer.length b >= max_len then skip ()
-        else begin
-          Buffer.add_char b c;
-          go ()
-        end
-    | exception End_of_file ->
-        if Buffer.length b = 0 then `Eof else `Line (Buffer.contents b)
-    | exception Sys_error _ -> `Eof
-  in
-  go ()
+(* --- reading ------------------------------------------------------------ *)
+
+(* Each connection reads through one buffer that [Unix.read] fills: a
+   line is found by one scan of the filled range for its newline and
+   copied out once.  The buffer holds [Proto.max_line_len + 1] bytes and
+   is compacted before each fill, so a hostile peer cannot make us
+   buffer more than that: a full buffer with no newline is a line that
+   is too long, which is consumed to its newline and reported, so the
+   connection survives. *)
+type reader = {
+  rfd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable lo : int;  (** first byte not yet returned *)
+  mutable scanned : int;
+      (** [lo, scanned) holds no newline, so a line that arrives in many
+          small reads is scanned once, not once per read *)
+  mutable hi : int;  (** end of the filled range *)
+}
+
+let reader_of fd =
+  {
+    rfd = fd;
+    buf = Bytes.create (Proto.max_line_len + 1);
+    lo = 0;
+    scanned = 0;
+    hi = 0;
+  }
+
+(* The first newline in [buf] at or after [i] and before [hi]; [hi] when
+   there is none. *)
+let find_newline buf i hi =
+  let i = ref i in
+  while !i < hi && not (Char.equal (Bytes.unsafe_get buf !i) '\n') do
+    incr i
+  done;
+  !i
+
+(* Move the unread bytes to the front, then read once into the rest:
+   the number of bytes read, 0 at EOF, -1 on a socket error.  [EINTR]
+   is retried (the watched signals are blocked on this thread, so it is
+   rare). *)
+let rec fill r =
+  if r.lo > 0 then begin
+    let len = r.hi - r.lo in
+    Bytes.blit r.buf r.lo r.buf 0 len;
+    r.scanned <- r.scanned - r.lo;
+    r.hi <- len;
+    r.lo <- 0
+  end;
+  match Unix.read r.rfd r.buf r.hi (Bytes.length r.buf - r.hi) with
+  | n ->
+      r.hi <- r.hi + n;
+      n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill r
+  | exception Unix.Unix_error _ -> -1
+
+(* Hand out [lo, stop) as a line and resume after [next]. *)
+let take r stop next =
+  let line = Bytes.sub_string r.buf r.lo (stop - r.lo) in
+  r.lo <- next;
+  r.scanned <- next;
+  `Line line
+
+(* A line of up to [Proto.max_line_len] bytes is a [`Line]; one more
+   byte makes it [`Too_long].  At EOF a non-empty partial line is still
+   a [`Line]; with nothing buffered, or on a socket error, the
+   connection is done ([`Eof]). *)
+let rec read_line r =
+  let nl = find_newline r.buf r.scanned r.hi in
+  if nl < r.hi then take r nl (nl + 1)
+  else if r.hi - r.lo > Proto.max_line_len then skip_line r
+  else begin
+    r.scanned <- r.hi;
+    match fill r with
+    | 0 -> if r.hi = r.lo then `Eof else take r r.hi r.hi
+    | n when n < 0 -> `Eof
+    | _ -> read_line r
+  end
+
+(* Drop what is buffered and read on through the next newline.  Running
+   out of input here, by EOF or a socket error, still reports the line
+   as too long. *)
+and skip_line r =
+  r.lo <- r.hi;
+  r.scanned <- r.hi;
+  if fill r <= 0 then `Too_long
+  else
+    let nl = find_newline r.buf r.lo r.hi in
+    if nl < r.hi then begin
+      r.lo <- nl + 1;
+      r.scanned <- nl + 1;
+      `Too_long
+    end
+    else skip_line r
 
 let handle_conn t fd =
   match
-    (* Channels before registration: if the descriptor is unusable there
-       is nothing to serve and nothing may be left in the registry. *)
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    (ic, oc)
+    (* The channel before registration: if the descriptor is unusable
+       there is nothing to serve and nothing may be left in the
+       registry. *)
+    Unix.out_channel_of_descr fd
   with
   | exception _ -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | ic, oc ->
+  | oc ->
   let token = Registry.register t.registry fd in
   let conn =
     {
@@ -875,19 +943,21 @@ let handle_conn t fd =
         end
       in
       settle 0;
-      (* Exactly one close for the one descriptor both channels share:
-         close_out followed by close_in is a double close, and under
-         connection churn the kernel reuses the number between the two —
-         the second close would tear down a stranger's brand-new
-         connection (the soak harness catches this as a stuck registry
-         entry on the victim). *)
+      (* Exactly one close for the descriptor the reader and the reply
+         channel share: flush the channel, then close the descriptor
+         itself.  close_out closes the same descriptor, so adding it is
+         a double close, and under connection churn the kernel reuses
+         the number between the two — the second close would tear down
+         a stranger's brand-new connection (the soak harness catches
+         this as a stuck registry entry on the victim). *)
       (try flush conn.oc with Sys_error _ -> ());
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
+      let reader = reader_of fd in
       let rec loop () =
         if Atomic.get conn.dead then ()
         else
-        match read_line_bounded ic Proto.max_line_len with
+        match read_line reader with
         | `Eof -> ()
         | `Too_long ->
             bump t Slot.requests;

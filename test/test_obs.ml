@@ -101,6 +101,336 @@ let test_add_int_allocates_nothing () =
 
 (* ----------------------------------------------------------------- spans *)
 
+
+(* The parser [Json.parse] replaced, kept verbatim as the oracle: the
+   cursor parser must return the same tree, or the same error message
+   with the same position, on every input. *)
+module Oracle_json = struct
+  open Json
+
+  exception Bad of string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at position %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let skip_ws () =
+      while
+        !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      do
+        incr pos
+      done
+    in
+    let expect c =
+      if peek () = Some c then incr pos
+      else fail (Printf.sprintf "expected '%c'" c)
+    in
+    let literal lit v =
+      let l = String.length lit in
+      if !pos + l <= n && String.sub s !pos l = lit then begin
+        pos := !pos + l;
+        v
+      end
+      else fail ("bad literal, expected " ^ lit)
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        let c = s.[!pos] in
+        incr pos;
+        match c with
+        | '"' -> Buffer.contents b
+        | '\\' ->
+            if !pos >= n then fail "unterminated escape";
+            let e = s.[!pos] in
+            incr pos;
+            (match e with
+            | '"' -> Buffer.add_char b '"'
+            | '\\' -> Buffer.add_char b '\\'
+            | '/' -> Buffer.add_char b '/'
+            | 'n' -> Buffer.add_char b '\n'
+            | 'r' -> Buffer.add_char b '\r'
+            | 't' -> Buffer.add_char b '\t'
+            | 'b' -> Buffer.add_char b '\b'
+            | 'f' -> Buffer.add_char b '\012'
+            | 'u' ->
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let hex = String.sub s !pos 4 in
+                pos := !pos + 4;
+                let code =
+                  try int_of_string ("0x" ^ hex) with _ -> fail ("bad \\u escape " ^ hex)
+                in
+                if code < 0x80 then Buffer.add_char b (Char.chr code)
+                else fail "non-ASCII \\u escapes are not supported"
+            | c -> fail (Printf.sprintf "unknown escape \\%c" c));
+            go ()
+        | c ->
+            Buffer.add_char b c;
+            go ()
+      in
+      go ()
+    in
+    let parse_number () =
+      let start = !pos in
+      if peek () = Some '-' then incr pos;
+      let digits () =
+        let d0 = !pos in
+        while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
+          incr pos
+        done;
+        if !pos = d0 then fail "expected digits"
+      in
+      digits ();
+      let fractional = peek () = Some '.' in
+      if fractional then begin
+        incr pos;
+        digits ()
+      end;
+      let exponent = match peek () with Some ('e' | 'E') -> true | _ -> false in
+      if exponent then begin
+        incr pos;
+        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
+        digits ()
+      end;
+      let text = String.sub s start (!pos - start) in
+      if fractional || exponent then Float (float_of_string text)
+      else
+        match int_of_string_opt text with
+        | Some i -> Int i
+        | None -> Float (float_of_string text)
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | Some '"' -> Str (parse_string ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | Some '[' ->
+          incr pos;
+          skip_ws ();
+          if peek () = Some ']' then begin
+            incr pos;
+            List []
+          end
+          else begin
+            let rec items acc =
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  incr pos;
+                  items (v :: acc)
+              | Some ']' ->
+                  incr pos;
+                  List.rev (v :: acc)
+              | _ -> fail "expected ',' or ']'"
+            in
+            List (items [])
+          end
+      | Some '{' ->
+          incr pos;
+          skip_ws ();
+          if peek () = Some '}' then begin
+            incr pos;
+            Obj []
+          end
+          else begin
+            let rec members acc =
+              skip_ws ();
+              let k = parse_string () in
+              skip_ws ();
+              expect ':';
+              let v = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  incr pos;
+                  members ((k, v) :: acc)
+              | Some '}' ->
+                  incr pos;
+                  List.rev ((k, v) :: acc)
+              | _ -> fail "expected ',' or '}'"
+            in
+            Obj (members [])
+          end
+      | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+      | None -> fail "unexpected end of input"
+    in
+    try
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage after document";
+      Ok v
+    with Bad msg -> Error msg
+end
+
+let gen_json_string =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:printable (int_bound 12);
+        string_size ~gen:char (int_bound 8);
+        oneofl [ ""; "\""; "\\"; "a\"b\\c"; "\n\r\t"; "\001\031\127"; "\xc3\xa9" ];
+      ])
+
+let gen_tree =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map
+                   (fun i -> Json.Int i)
+                   (oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1 ] ]);
+                 map
+                   (fun f -> Json.Float f)
+                   (oneof [ float; oneofl [ 0.5; -1e-7; 1e300; 123456789.125 ] ]);
+                 map (fun s -> Json.Str s) gen_json_string;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (3, leaf);
+                 (1, map (fun xs -> Json.List xs) (list_size (int_bound 4) (self (n / 4))));
+                 ( 1,
+                   map
+                     (fun kvs -> Json.Obj kvs)
+                     (list_size (int_bound 4) (pair gen_json_string (self (n / 4)))) );
+               ]))
+
+(* Well-formed [rv serve] request lines: every request type, its
+   required fields, a random subset of its optional ones, in random
+   order. *)
+let gen_request_line =
+  let open QCheck.Gen in
+  let str name g = map (Printf.sprintf "\"%s\":\"%s\"" name) g in
+  let int name =
+    map (Printf.sprintf "\"%s\":%d" name)
+      (oneof [ int_range 0 64; int_range (-2) 100_000; oneofl [ 4_096; 65_536; 1_000_000 ] ])
+  in
+  let graph =
+    str "graph" (oneofl [ "ring:8"; "ring:64"; "torus:4x4"; "grid:3x5"; "hypercube:4"; "petersen" ])
+  in
+  let algorithm = str "algorithm" (oneofl [ "cheap"; "fast"; "fwr:2"; "fast-sim" ]) in
+  let common = [ int "id"; int "deadline_ms"; map (Printf.sprintf "\"debug\":%b") bool ] in
+  let line typ required optional =
+    let* req = flatten_l required in
+    let* opt = flatten_l (List.map opt (common @ optional)) in
+    let+ fields =
+      shuffle_l ((Printf.sprintf "\"type\":\"%s\"" typ :: req) @ List.filter_map Fun.id opt)
+    in
+    "{" ^ String.concat "," fields ^ "}"
+  in
+  oneof
+    [
+      line "worst" [ graph; algorithm ]
+        [ str "explorer" (oneofl [ "auto"; "ring" ]); int "space"; int "pairs"; int "max_delay" ];
+      line "run"
+        [ graph; algorithm; int "label_a"; int "label_b" ]
+        [
+          int "space"; int "start_a"; int "start_b"; int "delay_a"; int "delay_b";
+          str "model" (oneofl [ "waiting"; "parachute"; "teleport" ]);
+        ];
+      line "health" [] [];
+      line "version" [] [];
+      line "metrics" [] [ str "format" (oneofl [ "json"; "prometheus" ]) ];
+      line "obs" [] [ int "last" ];
+    ]
+
+let insert s i piece = String.sub s 0 i ^ piece ^ String.sub s i (String.length s - i)
+
+let positions_of ch s =
+  List.filter (fun i -> Char.equal s.[i] ch) (List.init (String.length s) Fun.id)
+
+(* One edit of a line: a byte flip, a truncation, an escape inside a
+   string, a CR or whitespace, a duplicate or unknown field, or a value
+   of the wrong type or out of range. *)
+let gen_mutation s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let* at = int_bound n in
+  let after_one_of ch k =
+    match positions_of ch s with
+    | [] -> return s
+    | ps ->
+        let+ p = oneofl ps in
+        k p
+  in
+  oneof
+    [
+      (let+ c = char in
+       if n = 0 then String.make 1 c else String.mapi (fun i x -> if i = at mod n then c else x) s);
+      return (String.sub s 0 at);
+      (let* e =
+         oneofl
+           [
+             "\\\""; "\\\\"; "\\/"; "\\u0041"; "\\u001f"; "\\u007F"; "\\u00e9";
+             "\\u20AC"; "\\u12"; "\\uzz00"; "\\u00_4"; "\\x"; "\\"; "\\b\\f";
+           ]
+       in
+       after_one_of '"' (fun p -> insert s (p + 1) e));
+      (let+ w = oneofl [ "\r"; " "; "\t"; "\n"; "\r\n"; "\012" ] in
+       insert s at w);
+      (let* f =
+         oneofl [ ",\"graph\":\"ring:9\""; ",\"surprise\":1"; ",\"id\":2"; ",\"type\":\"run\"" ]
+       in
+       after_one_of '}' (fun p -> insert s p f));
+      (let* v =
+         oneofl
+           [
+             "\"7\""; "true"; "null"; "[1]"; "{}"; "1.5"; "-0"; "007"; "-"; "1e"; "1.e5";
+             "2E+3"; "1e400"; "99999999999999999999"; "4611686018427387903";
+             "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905";
+             "123456789012345678"; "-1234567890123456789";
+           ]
+       in
+       after_one_of ':' (fun p ->
+           let stop =
+             let rec go i =
+               if i >= n || s.[i] = ',' || s.[i] = '}' then i else go (i + 1)
+             in
+             go (p + 1)
+           in
+           String.sub s 0 (p + 1) ^ v ^ String.sub s stop (n - stop)));
+    ]
+
+let gen_parser_input =
+  let open QCheck.Gen in
+  let base = oneof [ map Json.to_string gen_tree; gen_request_line ] in
+  let rec mutate k s = if k = 0 then return s else gen_mutation s >>= mutate (k - 1) in
+  frequency
+    [
+      (2, map Json.to_string gen_tree);
+      (2, gen_request_line);
+      ( 5,
+        let* s = base in
+        let* k = int_range 1 3 in
+        mutate k s );
+      ( 1,
+        oneofl
+          [
+            ""; " "; "-"; "-0"; "007"; "1.5e"; "tru"; "nul"; "[1,]"; "{\"a\"1}"; "\"\\";
+            "\"abc"; "[]"; "{ }"; "[ ]"; "\"\\u0080\""; "\"\\uFFFF\""; "\"\\u+7f0\"";
+            "\"\\u-001\""; "\"\\u0x12\""; "1 2"; "{\"a\":}"; "\"\\u00";
+          ] );
+    ]
+
+let prop_parse_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6000 ~name:"parse agrees with the previous parser"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen_parser_input)
+       (fun s -> compare (Json.parse s) (Oracle_json.parse s) = 0))
+
 let test_span_nesting =
   with_obs (fun () ->
       Obs.span ~cat:"t" "outer" (fun () ->
@@ -438,6 +768,7 @@ let () =
           tc "add_int at the edges" test_add_int_edges;
           prop_add_int;
           tc "add_int allocates nothing" test_add_int_allocates_nothing;
+          prop_parse_matches_oracle;
         ] );
       ( "spans",
         [

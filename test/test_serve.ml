@@ -246,6 +246,127 @@ let oversized_line_keeps_connection () =
   check_error "bad_request" (rpc c huge);
   check_ok (rpc c {|{"type":"health"}|})
 
+(* --- framing ------------------------------------------------------------ *)
+
+(* How the connection reader cuts the byte stream into request lines,
+   pinned from the outside: the overlong-line boundary, lines spread
+   over several writes or packed into one, and what EOF does to a
+   partial line. *)
+
+let check_message want reply =
+  Alcotest.(check string) "message" want (get_str "message" reply)
+
+let too_long_message =
+  Printf.sprintf "request line exceeds %d bytes" Proto.max_line_len
+
+let line_at_the_limit () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  (* Exactly max_line_len bytes is a line: it reaches the JSON parser. *)
+  let r = rpc c (String.make Proto.max_line_len 'x') in
+  check_error "bad_request" r;
+  Alcotest.(check bool) "reached the JSON parser" true
+    (String.starts_with ~prefix:"invalid JSON" (get_str "message" r));
+  (* ... and a valid request padded to the limit is answered. *)
+  let req = {|{"type":"health","id":41}|} in
+  let padded = req ^ String.make (Proto.max_line_len - String.length req) ' ' in
+  let r = rpc c padded in
+  check_ok r;
+  Alcotest.(check int) "padded id" 41 (get_int "id" r)
+
+let line_one_past_the_limit () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  let r = rpc c (String.make (Proto.max_line_len + 1) '{') in
+  check_error "bad_request" r;
+  check_message too_long_message r;
+  let r = rpc c {|{"type":"health","id":42}|} in
+  check_ok r;
+  Alcotest.(check int) "next request answered" 42 (get_int "id" r)
+
+let overlong_then_valid_in_one_write () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  send_batch c
+    [ String.make (Proto.max_line_len + 100) 'y'; {|{"type":"health","id":43}|} ];
+  let r0 = recv c in
+  let r1 = recv c in
+  check_error "bad_request" r0;
+  check_message too_long_message r0;
+  check_ok r1;
+  Alcotest.(check int) "second answered" 43 (get_int "id" r1)
+
+let pipelined_past_64k () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  let n = 3_000 in
+  let lines =
+    List.init n (fun i -> Printf.sprintf {|{"type":"health","id":%d}|} i)
+  in
+  let bytes = List.fold_left (fun acc l -> acc + String.length l + 1) 0 lines in
+  Alcotest.(check bool) "more than 64 KiB" true (bytes > 64 * 1024);
+  (* A separate writer, so neither side's socket buffer can fill while
+     the other waits on it. *)
+  let writer = Thread.create (fun () -> send_batch c lines) () in
+  for i = 0 to n - 1 do
+    let r = recv c in
+    check_ok r;
+    if get_int "id" r <> i then
+      Alcotest.failf "reply %d carries id %d" i (get_int "id" r)
+  done;
+  Thread.join writer
+
+let request_split_across_writes () =
+  with_server @@ fun server ->
+  with_client server @@ fun c ->
+  let line = {|{"type":"health","id":44}|} in
+  let cut1 = 5 and cut2 = 17 in
+  let part a b = String.sub line a (b - a) in
+  output_string c.oc (part 0 cut1);
+  flush c.oc;
+  Thread.delay 0.05;
+  output_string c.oc (part cut1 cut2);
+  flush c.oc;
+  Thread.delay 0.05;
+  send c (part cut2 (String.length line));
+  let r = recv c in
+  check_ok r;
+  Alcotest.(check int) "split request answered" 44 (get_int "id" r);
+  (* One reply only: the next reply belongs to the next request. *)
+  let r = rpc c {|{"type":"health","id":45}|} in
+  Alcotest.(check int) "no second reply" 45 (get_int "id" r)
+
+let partial_line_then_fin () =
+  with_server @@ fun server ->
+  (* A truncated frame at EOF is parsed as a line and rejected ... *)
+  with_client server (fun c ->
+      output_string c.oc {|{"type":"health","id":3|};
+      flush c.oc;
+      Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+      Alcotest.(check string) "truncated frame reply"
+        {|{"status":"error","code":"bad_request","message":"invalid JSON: expected ',' or '}' at position 23"}|}
+        (recv c);
+      Alcotest.check_raises "then EOF" End_of_file (fun () -> ignore (recv c)));
+  (* ... and a whole request missing only its newline is answered. *)
+  with_client server (fun c ->
+      output_string c.oc {|{"type":"health","id":46}|};
+      flush c.oc;
+      Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+      let r = recv c in
+      check_ok r;
+      Alcotest.(check int) "unterminated request answered" 46 (get_int "id" r);
+      Alcotest.check_raises "then EOF" End_of_file (fun () -> ignore (recv c)));
+  (* An overlong partial line still counts as too long when EOF cuts
+     the skip short. *)
+  with_client server (fun c ->
+      output_string c.oc (String.make (Proto.max_line_len + 10) 'z');
+      flush c.oc;
+      Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+      let r = recv c in
+      check_error "bad_request" r;
+      check_message too_long_message r;
+      Alcotest.check_raises "then EOF" End_of_file (fun () -> ignore (recv c)))
+
 (* --- admission control ------------------------------------------------- *)
 
 let queue_full_overloaded () =
@@ -1333,6 +1454,16 @@ let () =
         [
           tc "malformed input keeps the connection" malformed_input_keeps_connection;
           tc "oversized line keeps the connection" oversized_line_keeps_connection;
+        ] );
+      ( "framing",
+        [
+          tc "a line of exactly max_line_len bytes is parsed" line_at_the_limit;
+          tc "one byte more is too long, next request answered"
+            line_one_past_the_limit;
+          tc "overlong and valid lines in one write" overlong_then_valid_in_one_write;
+          tc "more than 64 KiB pipelined, every id in order" pipelined_past_64k;
+          tc "a request split across three writes" request_split_across_writes;
+          tc "a partial line then FIN" partial_line_then_fin;
         ] );
       ( "admission",
         [
