@@ -1,7 +1,5 @@
 module Ex = Rv_explore.Explorer
 
-type features = { configs : int; build_rounds : int; probe_rounds : int }
-
 type constants = { build_ns : float; scan_ns : float; sim_ns : float }
 
 (* Calibration kernels: two agents walking clockwise on an oriented ring
@@ -9,9 +7,9 @@ type constants = { build_ns : float; scan_ns : float; sim_ns : float }
    runs its full horizon and the measured figure is a clean per-round
    cost.  8192 rounds keeps the whole thing in cache and under a
    millisecond; the minimum of three reps discards scheduler noise.
-   Timing uses Rv_obs.Obs.now_us, the tree's one sanctioned clock — the
-   result steers only which byte-equivalent kernel runs, never any
-   result byte, so determinism (lint R1's concern) is preserved. *)
+   Timing uses Rv_obs.Obs.now_us, the tree's one sanctioned clock; the
+   result reaches no sweep and no output byte, so determinism (lint R1's
+   concern) is preserved. *)
 let calib_rounds = 8192
 
 let time_ns_per_round f =
@@ -55,22 +53,6 @@ let constants () =
   | None ->
       let c = calibrate () in
       (* First finished measurement wins; a concurrent loser adopts it so
-         every caller in the process applies the same model. *)
+         every caller in the process reads the same figures. *)
       if Atomic.compare_and_set cache None (Some c) then c
       else ( match Atomic.get cache with Some c' -> c' | None -> c)
-
-let decide c f =
-  let work = float_of_int (max 1 f.configs) *. float_of_int (max 1 f.probe_rounds) in
-  (c.build_ns *. float_of_int (max 0 f.build_rounds)) +. (c.scan_ns *. work)
-  < c.sim_ns *. work
-
-let use_traj f = decide (constants ()) f
-
-(* Below this many configurations a sweep finishes in tens of
-   microseconds on either kernel, and the probe — one full reference
-   simulation plus the feature computation — is a measurable fraction of
-   the whole sweep: deciding costs more than any decision can save.
-   Callers skip the probe and keep the reference path.  The trajectory
-   path's wins (3x+) all come from sweeps orders of magnitude past the
-   floor. *)
-let small_sweep_configs = 128

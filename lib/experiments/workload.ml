@@ -176,6 +176,14 @@ let flush_tally t =
     images := 0
   end
 
+(* Below this many configurations `Auto keeps the reference simulator.
+   Such a sweep finishes in tens of microseconds on either kernel, and
+   building its walks can cost more than the few short scans it saves:
+   EXP-E's cells (15 configurations each, meetings within a few rounds)
+   ran at 0.63-0.69x of the reference simulator when forced onto the
+   trajectory kernel. *)
+let small_sweep_configs = 128
+
 let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     ?graph_spec ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
   (* Positions vary inside the sweep, and map-based explorers need the
@@ -300,78 +308,17 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   let reps_per_pair =
     match symq with Some _ -> n - 1 | None -> List.length expand
   in
-  (* --- adaptive dispatch ----------------------------------------------
-     `Auto probes the sweep's first configuration through the reference
-     simulator and feeds the measured cost model (Dispatch): builds plus
-     scans versus simulations.  The probe's outcome is reused as that
-     configuration's result — both paths agree exactly — so probing does
-     no duplicate work. *)
+  (* `Auto is a size rule on the configurations actually evaluated.  It
+     reads only the inputs, so the kernel split that --stats reports
+     does too. *)
   let configs = List.length pairs * reps_per_pair * List.length delays in
-  let probes =
-    match (dispatch, have_work) with
-    | `Auto, true when traj_allowed && configs >= Dispatch.small_sweep_configs
-      -> (
-        match (pairs, expand, delays) with
-        | (la, lb) :: _, (pa, pb) :: _, (da, db) :: _ ->
-            let run_one (da, db) =
-              let out =
-                R.run ?model ~g ~explorer ~algorithm ~space
-                  { R.label = la; start = pa; delay = da }
-                  { R.label = lb; start = pb; delay = db }
-              in
-              ( (la, lb, pa, pb, da, db),
-                (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost,
-                 out.Rv_sim.Sim.rounds_run) )
-            in
-            (* Two-point probe: the first delay pair and the last one.
-               Delay lists put the adversarial offsets at the end, so a
-               single first-config probe (which usually meets almost
-               immediately) would undersell the reference simulator's
-               cost across the sweep and flip near-pivot decisions on
-               calibration noise.  Both outcomes are reused as those
-               configurations' results, so the extra probe does no
-               duplicate work either. *)
-            let last = List.nth delays (List.length delays - 1) in
-            if last = (da, db) then [ run_one (da, db) ]
-            else [ run_one (da, db); run_one last ]
-        | _ -> [])
-    | _ -> []
-  in
   let use_fast =
     traj_allowed
     &&
     match dispatch with
     | `Fast -> true
     | `Reference -> false
-    | `Auto -> (
-        match probes with
-        | [] -> false
-        | probes ->
-            let uniq side xs = List.sort_uniq Int.compare (List.map side xs) in
-            let labels_a = uniq fst pairs and labels_b = uniq snd pairs in
-            let starts_a, starts_b =
-              match symq with
-              | Some _ -> (1, n - 1)
-              | None ->
-                  (List.length (uniq fst expand), List.length (uniq snd expand))
-            in
-            (* Building a trajectory only pays per *active* round:
-               of_blocks stores only Run rounds and makes each pause one
-               segment, so a label-scaled waiting schedule costs its
-               Explore rounds (the traversal budget), not its duration. *)
-            let active_of label =
-              Rv_core.Schedule.traversal_budget
-                (R.schedule algorithm ~space ~label ~explorer:(explorer ~start:0))
-            in
-            let sum ls = List.fold_left (fun acc l -> acc + active_of l) 0 ls in
-            let build_rounds = (sum labels_a * starts_a) + (sum labels_b * starts_b) in
-            let probe_rounds =
-              let total =
-                List.fold_left (fun acc (_, (_, _, r)) -> acc + r) 0 probes
-              in
-              (total + List.length probes - 1) / List.length probes
-            in
-            Dispatch.use_traj { Dispatch.configs; build_rounds; probe_rounds })
+    | `Auto -> configs >= small_sweep_configs
   in
   (* The reference path checks per run that both agents' explorers
      declare the same bound E (Rendezvous.run); replicate the check up
@@ -405,44 +352,33 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
      test/test_traj.ml for both models, re-asserted at bench time and by
      CI's RV_NO_TRAJ / RV_NO_SYM byte comparisons). *)
   let simulate tally ~la ~lb ~pa ~pb ~da ~db =
-    let reused =
-      List.find_opt
-        (fun ((pla, plb, ppa, ppb, pda, pdb), _) ->
-          la = pla && lb = plb && pa = ppa && pb = ppb && da = pda && db = pdb)
-        probes
-    in
-    match reused with
-    | Some (_, out) ->
+    match cache with
+    | Some cache ->
+        if la = lb then invalid_arg "Rendezvous.run: labels must be distinct";
+        let ta = Rv_sim.Traj_cache.get cache ~label:la ~start:pa in
+        let tb = Rv_sim.Traj_cache.get cache ~label:lb ~start:pb in
+        let max_rounds =
+          max (ta.Rv_sim.Traj.rounds + da) (tb.Rv_sim.Traj.rounds + db) + 1
+        in
+        let m =
+          match model_v with
+          | Rv_sim.Sim.Waiting ->
+              tally.traj_c <- tally.traj_c + 1;
+              Rv_sim.Traj.meet ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
+          | Rv_sim.Sim.Parachute ->
+              tally.intv_c <- tally.intv_c + 1;
+              Rv_sim.Traj.meet_intervals ~a:ta ~b:tb ~delay_a:da ~delay_b:db
+                ~max_rounds
+        in
+        (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
+    | None ->
         tally.ref_c <- tally.ref_c + 1;
-        out
-    | None -> (
-        match cache with
-        | Some cache ->
-            if la = lb then invalid_arg "Rendezvous.run: labels must be distinct";
-            let ta = Rv_sim.Traj_cache.get cache ~label:la ~start:pa in
-            let tb = Rv_sim.Traj_cache.get cache ~label:lb ~start:pb in
-            let max_rounds =
-              max (ta.Rv_sim.Traj.rounds + da) (tb.Rv_sim.Traj.rounds + db) + 1
-            in
-            let m =
-              match model_v with
-              | Rv_sim.Sim.Waiting ->
-                  tally.traj_c <- tally.traj_c + 1;
-                  Rv_sim.Traj.meet ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
-              | Rv_sim.Sim.Parachute ->
-                  tally.intv_c <- tally.intv_c + 1;
-                  Rv_sim.Traj.meet_intervals ~a:ta ~b:tb ~delay_a:da ~delay_b:db
-                    ~max_rounds
-            in
-            (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
-        | None ->
-            tally.ref_c <- tally.ref_c + 1;
-            let out =
-              R.run ?model ~g ~explorer ~algorithm ~space
-                { R.label = la; start = pa; delay = da }
-                { R.label = lb; start = pb; delay = db }
-            in
-            (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run))
+        let out =
+          R.run ?model ~g ~explorer ~algorithm ~space
+            { R.label = la; start = pa; delay = da }
+            { R.label = lb; start = pb; delay = db }
+        in
+        (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run)
   in
   let obs = Rv_obs.Obs.enabled () in
   let pair_arr = Array.of_list pairs in

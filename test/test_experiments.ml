@@ -92,6 +92,58 @@ let test_worst_for_mixed_bounds () =
                ~pairs:[ (1, 2) ] ~positions:`All_pairs ~delays:[ (0, 0) ] ())))
     [ `Fast; `Reference; `Auto ]
 
+(* `Auto is a size rule: the trajectory kernel from 128 configurations
+   up, the reference simulator below.  It reads only the inputs, so the
+   kernel split in Stats is a function of them alone. *)
+let kernel_split ?dispatch ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
+  W.Stats.reset ();
+  let r =
+    W.worst_for ?dispatch ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays ()
+  in
+  let s = W.Stats.snapshot () in
+  (r, s.W.Stats.simulated, s.W.Stats.reference_cells, s.W.Stats.traj_cells)
+
+let test_auto_size_rule () =
+  let n = 16 in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer ~start:_ = Rv_explore.Ring_walk.clockwise ~n in
+  let ordered =
+    List.concat_map
+      (fun a -> List.filter_map (fun b -> if a <> b then Some (a, b) else None)
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  let first k = List.filteri (fun i _ -> i < k) ordered in
+  let split ?dispatch k =
+    kernel_split ?dispatch ~g ~algorithm:R.Fast ~space:16 ~explorer ~pairs:[ (3, 11) ]
+      ~positions:(`Pairs (first k)) ~delays:[ (0, 0) ] ()
+  in
+  let check name (r, simulated, reference, traj) ~expect_ref ~expect_traj =
+    (match r with Ok _ -> () | Error e -> Alcotest.failf "%s: %s" name e);
+    Alcotest.(check int) (name ^ ": simulated") (expect_ref + expect_traj) simulated;
+    Alcotest.(check int) (name ^ ": reference cells") expect_ref reference;
+    Alcotest.(check int) (name ^ ": trajectory cells") expect_traj traj
+  in
+  check "128 configs, `Auto" (split 128) ~expect_ref:0 ~expect_traj:128;
+  check "127 configs, `Auto" (split 127) ~expect_ref:127 ~expect_traj:0;
+  check "127 configs, `Fast" (split ~dispatch:`Fast 127) ~expect_ref:0 ~expect_traj:127;
+  check "128 configs, `Reference" (split ~dispatch:`Reference 128) ~expect_ref:128
+    ~expect_traj:0;
+  (* A ring sweep in the shape of `rv sweep -g ring:16`: every cell on one
+     kernel, chosen by size alone, and the same worst cell either way. *)
+  let pairs = W.sample_pairs ~space:16 ~max_pairs:8 in
+  let delays = W.ring_delays ~e:(n - 1) in
+  let configs = List.length pairs * (n - 1) * List.length delays in
+  let ring dispatch =
+    kernel_split ~dispatch ~g ~algorithm:R.Fast ~space:16 ~explorer ~pairs
+      ~positions:`Fixed_first ~delays ()
+  in
+  let ((auto_r, _, _, _) as auto) = ring `Auto in
+  let ((ref_r, _, _, _) as refr) = ring `Reference in
+  check "ring:16 Fast, `Auto" auto ~expect_ref:0 ~expect_traj:configs;
+  check "ring:16 Fast, `Reference" refr ~expect_ref:configs ~expect_traj:0;
+  Alcotest.(check bool) "same worst cell" true (auto_r = ref_r)
+
 (* ------------------------------------------------------------------- Spec *)
 
 let parse_ok spec =
@@ -360,6 +412,7 @@ let () =
           tc "worst_for hand-checked" test_worst_for_agrees_with_bounds;
           tc "worst_for flags failure" test_worst_for_flags_failure;
           tc "worst_for refuses mixed bounds" test_worst_for_mixed_bounds;
+          tc "auto picks its kernel by size alone" test_auto_size_rule;
         ] );
       ( "spec",
         [

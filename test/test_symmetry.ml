@@ -2,8 +2,8 @@
    Workload quotient): detected group orders per family, witness
    checking, canonical-pair properties, and — the load-bearing one —
    full-record equality of the reduced and unreduced sweeps across
-   graph families, algorithms and seeded delay draws.  Also covers the
-   adaptive-dispatch cost model with synthetic constants. *)
+   graph families, algorithms and seeded delay draws.  Also checks that
+   the dispatch calibration still measures positive figures. *)
 
 module Pg = Rv_graph.Port_graph
 module Sym = Rv_graph.Symmetry
@@ -310,30 +310,9 @@ let test_cache_reentrant_build () =
 
 (* ------------------------------------------------- dispatch model *)
 
-let test_dispatch_decide () =
-  (* Synthetic constants: builds cost 10ns/round, scans 1, sims 20. *)
-  let c = { D.build_ns = 10.; scan_ns = 1.; sim_ns = 20. } in
-  (* Amortized: tiny build, many configs — trajectory wins. *)
-  Alcotest.(check bool)
-    "amortized build -> traj" true
-    (D.decide c { D.configs = 1000; build_rounds = 100; probe_rounds = 50 });
-  (* EXP-E shape: builds dwarf the handful of short scans — reference. *)
-  Alcotest.(check bool)
-    "dominant build -> reference" false
-    (D.decide c { D.configs = 15; build_rounds = 100_000; probe_rounds = 10 });
-  (* Break-even pivot: build_ns * build = (sim_ns - scan_ns) * work.
-     Just under wins, just over loses. *)
-  let work = 100 * 10 in
-  let pivot = 19 * work / 10 in
-  Alcotest.(check bool)
-    "under pivot -> traj" true
-    (D.decide c { D.configs = 100; build_rounds = pivot - 1; probe_rounds = 10 });
-  Alcotest.(check bool)
-    "over pivot -> reference" false
-    (D.decide c { D.configs = 100; build_rounds = pivot + 1; probe_rounds = 10 });
-  (* Degenerate features are clamped, not crashing. *)
-  ignore (D.decide c { D.configs = 0; build_rounds = 0; probe_rounds = 0 });
-  (* Measured constants exist and are positive. *)
+(* The repository benchmark times the calibration for its
+   dispatch.calibrate_ms row, so it must keep measuring something. *)
+let test_dispatch_constants () =
   let m = D.constants () in
   Alcotest.(check bool) "build_ns > 0" true (m.D.build_ns > 0.);
   Alcotest.(check bool) "scan_ns > 0" true (m.D.scan_ns > 0.);
@@ -361,5 +340,5 @@ let () =
             test_unreducible_families_report_none;
         ] );
       ("cache", [ tc "re-entrant build across a rotation" test_cache_reentrant_build ]);
-      ("dispatch", [ tc "cost model decisions" test_dispatch_decide ]);
+      ("dispatch", [ tc "calibrated constants are positive" test_dispatch_constants ]);
     ]
