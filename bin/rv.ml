@@ -320,13 +320,7 @@ let sweep_cmd =
       metrics =
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
     let e = Rv_experiments.Workload.e_of ex in
-    let delays =
-      if R.delay_tolerant algorithm then
-        List.sort_uniq
-          Rv_util.Ord.(pair int int)
-          [ (0, 0); (0, 1); (0, max_delay); (1, 0); (max_delay, 0) ]
-      else [ (0, 0) ]
-    in
+    let delays = Rv_experiments.Workload.sampled_delays algorithm ~max_delay in
     let pairs = Rv_experiments.Workload.sample_pairs ~space ~max_pairs in
     let sinks =
       (match jsonl with
@@ -343,10 +337,16 @@ let sweep_cmd =
       Rv_sim.Traj_cache.reset_stats ()
     end;
     let positions = if all_pairs then `All_pairs else `Fixed_first in
+    (* The library reads no environment; the two overrides (see [envs])
+       are read here and passed down. *)
+    let dispatch =
+      if Option.is_some (Sys.getenv_opt "RV_NO_TRAJ") then `Reference else `Auto
+    in
+    let sym = Option.is_none (Sys.getenv_opt "RV_NO_SYM") in
     let outcome =
       with_metrics metrics (fun () ->
           with_pool jobs (fun pool ->
-              Rv_experiments.Workload.worst_for ?pool ?sink ~progress
+              Rv_experiments.Workload.worst_for ~dispatch ~sym ?pool ?sink ~progress
                 ~graph_spec:gs.Spec.spec ~g:gs.Spec.g ~algorithm ~space ~explorer:ex
                 ~pairs ~positions ~delays ()))
     in
@@ -420,8 +420,20 @@ let sweep_cmd =
              trajectories, per-kernel cell counts (reference / trajectory / \
              interval) and the trajectory-cache hit ratio.")
   in
+  let envs =
+    [
+      Cmd.Env.info "RV_NO_TRAJ"
+        ~doc:
+          "When set, evaluate every configuration on the reference \
+           round-by-round simulator.  The output is byte-identical.";
+      Cmd.Env.info "RV_NO_SYM"
+        ~doc:
+          "When set, sweep without the symmetry reduction.  The output is \
+           byte-identical.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "sweep" ~doc:"Worst-case time/cost over starts, delays and labels")
+    (Cmd.info "sweep" ~envs ~doc:"Worst-case time/cost over starts, delays and labels")
     Term.(
       const sweep $ graph_arg $ explorer_arg $ algo_arg $ space_arg $ max_pairs $ max_delay
       $ all_pairs $ jobs_arg $ jsonl $ csv $ stats $ metrics_arg)

@@ -1,5 +1,4 @@
 module R = Rv_core.Rendezvous
-module Adv = Rv_sim.Adversary
 module Rng = Rv_util.Rng
 module Pg = Rv_graph.Port_graph
 module Sym = Rv_graph.Symmetry
@@ -84,6 +83,8 @@ let sample_pairs ~space ~max_pairs =
     let lift v = List.fold_left (fun v s -> if s <= v then v + 1 else v) v seed_idx in
     seeds @ List.rev_map (fun v -> pair_of_index (lift v)) !order
   end
+
+type position_space = [ `All_pairs | `Fixed_first | `Pairs of (int * int) list ]
 
 let expand_positions ~g = function
   | `Pairs l -> l
@@ -187,8 +188,7 @@ let small_sweep_configs = 128
 let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     ?graph_spec ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
   (* Positions vary inside the sweep, and map-based explorers need the
-     true start, so expand the position space here instead of going
-     through [Adversary.sweep], whose factories are blind to starts. *)
+     true start, so the position space is expanded into explicit pairs. *)
   let expand = expand_positions ~g positions in
   let graph_spec =
     match graph_spec with
@@ -201,13 +201,12 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   let non_empty = function [] -> false | _ :: _ -> true in
   let have_work = non_empty pairs && non_empty expand && non_empty delays in
   (* Trajectory-path eligibility.  Deep-trace runs (per-phase spans need
-     the live simulator) keep the reference path, as does RV_NO_TRAJ=1
-     or [~dispatch:`Reference].  The parachute model is served by
+     the live simulator) keep the reference path, as does
+     [~dispatch:`Reference].  The parachute model is served by
      Traj.meet_intervals — walks are model-independent, presence only
      gates detection — so it is no longer excluded. *)
   let traj_allowed =
     (match dispatch with `Reference -> false | `Fast | `Auto -> true)
-    && Sys.getenv_opt "RV_NO_TRAJ" = None
     && not (Rv_obs.Obs.deep ())
   in
   let walk_obs = Rv_sim.Traj.observations g in
@@ -241,7 +240,6 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
      budget; evicted ones are rebuilt on demand. *)
   let sym_wanted =
     sym
-    && Sys.getenv_opt "RV_NO_SYM" = None
     && (match positions with `All_pairs -> true | `Fixed_first | `Pairs _ -> false)
     && have_work
   in
@@ -350,7 +348,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   (* Simulate one configuration; returns the outcome fields the sweep
      consumes.  All paths agree exactly (property-tested in
      test/test_traj.ml for both models, re-asserted at bench time and by
-     CI's RV_NO_TRAJ / RV_NO_SYM byte comparisons). *)
+     CI's byte comparisons of rv sweep under RV_NO_TRAJ / RV_NO_SYM). *)
   let simulate tally ~la ~lb ~pa ~pb ~da ~db =
     match cache with
     | Some cache ->
@@ -567,5 +565,12 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
 let ring_delays ~e =
   let ds = List.sort_uniq Int.compare [ 0; 1; e / 2; e; e + 1 ] in
   List.map (fun d -> (0, d)) ds @ List.filter_map (fun d -> if d > 0 then Some (d, 0) else None) ds
+
+let sampled_delays algorithm ~max_delay =
+  if R.delay_tolerant algorithm then
+    List.sort_uniq
+      Rv_util.Ord.(pair int int)
+      [ (0, 0); (0, 1); (0, max_delay); (1, 0); (max_delay, 0) ]
+  else [ (0, 0) ]
 
 let e_of explorer = (explorer ~start:0).Rv_explore.Explorer.bound

@@ -1,6 +1,7 @@
-(** Shared workload machinery for the experiment harness (see the
-    experiment index in DESIGN.md Section 5 and the per-experiment
-    modules [Exp_a] … [Exp_h]). *)
+(** The worst-case sweep and its inputs.  {!worst_for} maximises time
+    and cost over label pairs, starting positions and wake-up delays;
+    the experiment tables ([Exp_a] … [Exp_m], indexed in DESIGN.md
+    Section 5), [rv sweep], the query server and the bake all run it. *)
 
 val all_ones_label : space:int -> int
 (** The label [<= space] whose binary representation has maximum weight —
@@ -11,6 +12,14 @@ val sample_pairs : space:int -> max_pairs:int -> (int * int) list
     labels, extreme labels, the all-ones label) plus seeded random pairs,
     capped at [max_pairs].  All pairs are returned when the space is small
     enough. *)
+
+type position_space =
+  [ `All_pairs  (** all ordered pairs of distinct nodes *)
+  | `Fixed_first  (** agent A at node 0, agent B anywhere else *)
+  | `Pairs of (int * int) list  (** explicit list *) ]
+(** The adversary's choice of starting positions.  [`Fixed_first]
+    exploits vertex-transitivity of rings and tori to pin the first
+    agent at node 0. *)
 
 type dispatch = [ `Auto | `Fast | `Reference ]
 (** Kernel selection for {!worst_for}: [`Reference] forces the
@@ -68,7 +77,7 @@ val worst_for :
   space:int ->
   explorer:(start:int -> Rv_explore.Explorer.t) ->
   pairs:(int * int) list ->
-  positions:Rv_sim.Adversary.position_space ->
+  positions:position_space ->
   delays:(int * int) list ->
   unit ->
   (int * int, string) result
@@ -89,18 +98,17 @@ val worst_for :
     when forced onto the trajectory path.
     Outcomes — including the byte stream written to [sink] — are
     identical on every path; deep-trace runs ({!Rv_obs.Obs.deep}) always
-    use the reference simulator, and setting the [RV_NO_TRAJ]
-    environment variable forces it globally (CI compares the byte
-    streams).
+    use the reference simulator.  The function reads no environment
+    variable: [rv sweep] maps [RV_NO_TRAJ] to [~dispatch:`Reference] and
+    [RV_NO_SYM] to [~sym:false], and CI compares its byte streams.
 
-    {b Symmetry reduction.}  When [positions] is [`All_pairs], [sym] is
-    [true] (the default) and the [RV_NO_SYM] environment variable is
-    unset, the sweep detects the graph's port-preserving automorphism
-    group ({!Rv_graph.Symmetry}), certifies that every label's walk is
-    equivariant under it (the walk from each [phi(0)] is streamed against
-    the label's walk from 0, port by port — explorers that follow node
-    identities rather than observations fail here and fall back to the
-    unreduced sweep), and then evaluates only the canonical
+    {b Symmetry reduction.}  When [positions] is [`All_pairs] and [sym]
+    is [true] (the default), the sweep detects the graph's port-preserving
+    automorphism group ({!Rv_graph.Symmetry}), certifies that every
+    label's walk is equivariant under it (the walk from each [phi(0)] is
+    streamed against the label's walk from 0, port by port — explorers
+    that follow node identities rather than observations fail here and
+    fall back to the unreduced sweep), and then evaluates only the canonical
     representative [(0, c)] of each position-pair orbit —
     [1/orbit_size] of the space — replaying the full configuration
     stream through the representative table.  Each label's walk is
@@ -110,7 +118,7 @@ val worst_for :
     and when every representative met, the worst cell, [progress] and
     {!Stats} coverage are folded straight from the table instead.  The
     output — worst cell and every sink byte — is identical to the
-    unreduced sweep (CI byte-compares against [RV_NO_SYM=1]); the only
+    unreduced sweep ([~sym:false]; CI byte-compares the two); the only
     observable difference is eagerness: a failing pair's
     representatives are all evaluated even though the replayed stream
     stops at the failure.
@@ -132,6 +140,13 @@ val worst_for :
 val ring_delays : e:int -> (int * int) list
 (** The adversarial delay set used by the delay-tolerant experiments:
     0, 1, [E/2], [E], [E+1] in both orders. *)
+
+val sampled_delays :
+  Rv_core.Rendezvous.algorithm -> max_delay:int -> (int * int) list
+(** The delay pairs [rv sweep] and served [worst] queries sweep:
+    [(0,0); (0,1); (0,D); (1,0); (D,0)] for [D = max_delay], sorted and
+    deduplicated, when the algorithm tolerates delays, and [[(0,0)]]
+    otherwise. *)
 
 val e_of : (start:int -> Rv_explore.Explorer.t) -> int
 (** The declared bound of the supplied explorer family (queried at

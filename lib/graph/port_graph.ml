@@ -6,9 +6,6 @@ let n t = t.n
 
 let degree t v = Array.length t.adj.(v)
 
-let max_degree t =
-  Array.fold_left (fun acc row -> max acc (Array.length row)) 0 t.adj
-
 let num_edges t =
   Array.fold_left (fun acc row -> acc + Array.length row) 0 t.adj / 2
 

@@ -32,8 +32,6 @@ val num_edges : t -> int
 val degree : t -> int -> int
 (** [degree g v] is the number of ports at [v]. *)
 
-val max_degree : t -> int
-
 val follow : t -> int -> int -> int * int
 (** [follow g u p] is [(v, q)]: the node reached from [u] via port [p] and
     the entry port at that node.  Raises [Invalid_argument] if [p] is not a

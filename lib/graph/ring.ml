@@ -8,5 +8,3 @@ let scrambled rng n =
   Port_graph.relabel_ports rng g
 
 let clockwise_cycle n = List.init n (fun i -> i)
-
-let exploration_bound n = n - 1

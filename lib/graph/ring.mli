@@ -18,6 +18,3 @@ val scrambled : Rv_util.Rng.t -> int -> Port_graph.t
 val clockwise_cycle : int -> int list
 (** [clockwise_cycle n] is the Hamiltonian cycle [0; 1; ...; n-1] of the
     oriented ring (certificate for {!Hamilton.check}). *)
-
-val exploration_bound : int -> int
-(** [exploration_bound n = n - 1], the optimal [E] for oriented rings. *)

@@ -73,10 +73,6 @@ let check_file_full config path =
         0,
         [] )
 
-let check_file config path =
-  let findings, suppressed, _ = check_file_full config path in
-  (findings, suppressed)
-
 let skip_dir name =
   name = "" || name.[0] = '.' || name = "_build" || name = "node_modules"
 

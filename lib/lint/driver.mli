@@ -26,8 +26,6 @@ val check_source :
     (unsuppressed findings, suppressed count).  Unparseable input yields
     a [Lint] finding rather than an exception. *)
 
-val check_file : Config.t -> string -> Report.finding list * int
-
 val run : ?options:options -> Config.t -> string list -> result
 (** Recursively lint every [.ml] under the given files/directories
     (skipping dotdirs and [_build]) with the source pass, then run the

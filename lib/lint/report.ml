@@ -37,8 +37,6 @@ let rule_of_string s =
 
 let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
 
-let typed_rules = [ R6; R7; R8; R9 ]
-
 let rule_title = function
   | R1 -> "nondeterminism source"
   | R2 -> "hash-iteration-order leak"

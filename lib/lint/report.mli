@@ -8,9 +8,6 @@ val rule_of_string : string -> rule option
 val all_rules : rule list
 (** The user-facing rules, R1..R9 ([Lint] is internal and always on). *)
 
-val typed_rules : rule list
-(** The subset implemented by the typed (.cmt) pass: R6..R9. *)
-
 val rule_title : rule -> string
 val rule_doc : rule -> string
 

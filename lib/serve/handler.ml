@@ -70,13 +70,7 @@ let eval_worst ?pool ~deadline_us (w : Proto.worst_q) =
   @@ fun gs ex algorithm ->
   let space = w.Proto.w_space in
   let e = W.e_of ex in
-  let delays =
-    if R.delay_tolerant algorithm then
-      List.sort_uniq
-        Rv_util.Ord.(pair int int)
-        [ (0, 0); (0, 1); (0, w.Proto.w_max_delay); (1, 0); (w.Proto.w_max_delay, 0) ]
-    else [ (0, 0) ]
-  in
+  let delays = W.sampled_delays algorithm ~max_delay:w.Proto.w_max_delay in
   let pairs = Array.of_list (W.sample_pairs ~space ~max_pairs:w.Proto.w_max_pairs) in
   let total = Array.length pairs in
   let progress i wt wc =

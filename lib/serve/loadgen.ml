@@ -2,12 +2,6 @@ module Json = Rv_obs.Json
 
 type mix = Cached | Mixed | Heavy | Index
 
-let mix_to_string = function
-  | Cached -> "cached"
-  | Mixed -> "mixed"
-  | Heavy -> "heavy"
-  | Index -> "index"
-
 let mix_of_string = function
   | "cached" -> Ok Cached
   | "mixed" -> Ok Mixed

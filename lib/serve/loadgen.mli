@@ -19,7 +19,6 @@ type mix =
                traffic against a server started with that index *)
 
 val mix_of_string : string -> (mix, string) result
-val mix_to_string : mix -> string
 
 (** The bake lattice matching the [Index] mix: pass these five strings
     to [rv bake] (or {!Rv_index.Lattice.of_args}) and every request the

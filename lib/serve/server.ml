@@ -150,7 +150,6 @@ type t = {
 }
 
 let port t = t.srv_port
-let cache_stats t = Cache.stats t.cache
 let recorder t = t.recorder
 
 let bump ?(by = 1) t slot =
@@ -446,7 +445,6 @@ let feature_flags () =
       ( "tsan",
         contains_sub Build_meta.profile "tsan"
         || contains_sub Build_meta.context "tsan" );
-      ("no-traj-env", Option.is_some (Sys.getenv_opt "RV_NO_TRAJ"));
     ]
 
 let version_fields () =

@@ -93,8 +93,6 @@ val reload_index : t -> (unit, string) result
     displaced reader finish against the old mapping — a swap is never
     observable mid-request. *)
 
-val cache_stats : t -> Cache.stats
-
 val recorder : t -> Recorder.t
 (** The live anomaly flight recorder (what the ["obs"] probe serves). *)
 

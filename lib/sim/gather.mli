@@ -2,13 +2,12 @@
     (paper, Section 1.4 cites gathering more than two agents as the natural
     extension of rendezvous).
 
-    Unlike {!Multi}, which only observes co-location, this module gives
-    meetings an effect: agents that share a node from some round on merge
-    into a {e group}.  A group is led by its smallest-labelled member — the
-    natural choice, since after meeting the agents can compare labels — and
-    from the merge round on, only the leader's program drives the group's
-    moves; every member traverses along (each member's traversal counts
-    toward cost, as k agents really move).
+    Meetings have an effect: agents that share a node from some round on
+    merge into a {e group}.  A group is led by its smallest-labelled member
+    — the natural choice, since after meeting the agents can compare labels
+    — and from the merge round on, only the leader's program drives the
+    group's moves; every member traverses along (each member's traversal
+    counts toward cost, as k agents really move).
 
     With every agent running the simultaneous-start [Cheap] schedule, the
     smallest label explores during rounds [1..E] while all others are still

@@ -70,8 +70,6 @@ let print t =
   print_string (render_ascii t);
   print_newline ()
 
-let cell_int = string_of_int
-
 let cell_float ?(digits = 2) f = Printf.sprintf "%.*f" digits f
 
 let cell_ratio a b = if Float.equal b 0.0 then "-" else cell_float (a /. b)

@@ -26,7 +26,6 @@ val print : t -> unit
 
 (** Cell formatting helpers. *)
 
-val cell_int : int -> string
 val cell_float : ?digits:int -> float -> string
 val cell_ratio : float -> float -> string
 (** [cell_ratio a b] renders [a /. b] with two digits, or ["-"] when [b = 0]. *)

@@ -43,19 +43,68 @@ let test_ring_delays () =
   Alcotest.(check bool) "includes (E+1, 0)" true (List.mem (11, 0) ds)
 
 let test_worst_for_agrees_with_bounds () =
-  let n = 10 in
+  let check_ring ~n ~space ~pair ~time ~cost =
+    let g = Rv_graph.Ring.oriented n in
+    let explorer ~start = ignore start; Rv_explore.Ring_walk.clockwise ~n in
+    match
+      W.worst_for ~g ~algorithm:R.Cheap_simultaneous ~space ~explorer ~pairs:[ pair ]
+        ~positions:`Fixed_first ~delays:[ (0, 0) ] ()
+    with
+    | Error e -> Alcotest.fail e
+    | Ok (t, c) ->
+        let name what = Printf.sprintf "ring:%d (%d,%d) worst %s" n (fst pair) (snd pair) what in
+        Alcotest.(check int) (name "time") time t;
+        Alcotest.(check int) (name "cost") cost c
+  in
+  (* CheapSim (3,4): agent 3 waits 2E then explores; worst gap puts the
+     meeting at the very end of its exploration: time 3E, cost E. *)
+  check_ring ~n:10 ~space:4 ~pair:(3, 4) ~time:(3 * 9) ~cost:9;
+  (* CheapSim (1,2): agent 1 explores in rounds 1..E while agent 2 still
+     waits; with agent 2 one step behind agent 1 they meet in round E:
+     time = cost = E. *)
+  check_ring ~n:6 ~space:2 ~pair:(1, 2) ~time:5 ~cost:5
+
+(* Every configuration of a position space is accounted for in
+   Stats.covered, whether the sweep evaluates it or, under the symmetry
+   reduction, replays its orbit representative. *)
+let test_worst_for_position_spaces () =
+  let n = 5 in
   let g = Rv_graph.Ring.oriented n in
-  let explorer ~start = ignore start; Rv_explore.Ring_walk.clockwise ~n in
-  match
-    W.worst_for ~g ~algorithm:R.Cheap_simultaneous ~space:4 ~explorer
-      ~pairs:[ (3, 4) ] ~positions:`Fixed_first ~delays:[ (0, 0) ] ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok (t, c) ->
-      (* CheapSim (3,4): agent 3 waits 2E then explores; worst gap puts the
-         meeting at the very end of its exploration: time 3E, cost E. *)
-      Alcotest.(check int) "worst time 3E" (3 * (n - 1)) t;
-      Alcotest.(check int) "worst cost E" (n - 1) c
+  let explorer ~start:_ = Rv_explore.Ring_walk.clockwise ~n in
+  let snapshot ~sym positions =
+    W.Stats.reset ();
+    (match
+       W.worst_for ~sym ~g ~algorithm:R.Cheap_simultaneous ~space:2 ~explorer
+         ~pairs:[ (1, 2) ] ~positions ~delays:[ (0, 0) ] ()
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    W.Stats.snapshot ()
+  in
+  List.iter
+    (fun sym ->
+      let covered name expected positions =
+        Alcotest.(check int)
+          (Printf.sprintf "%s, sym %b" name sym)
+          expected (snapshot ~sym positions).W.Stats.covered
+      in
+      covered "fixed first" 4 `Fixed_first;
+      covered "all pairs" 20 `All_pairs;
+      covered "explicit" 2 (`Pairs [ (0, 1); (3, 4) ]))
+    [ true; false ];
+  Alcotest.(check int) "all pairs reduced by the rotations" 5
+    (snapshot ~sym:true `All_pairs).W.Stats.orbit_size
+
+let test_sampled_delays () =
+  let delays = Alcotest.(list (pair int int)) in
+  Alcotest.check delays "D=2" [ (0, 0); (0, 1); (0, 2); (1, 0); (2, 0) ]
+    (W.sampled_delays R.Fast ~max_delay:2);
+  Alcotest.check delays "D=1" [ (0, 0); (0, 1); (1, 0) ]
+    (W.sampled_delays R.Cheap ~max_delay:1);
+  Alcotest.check delays "D=0" [ (0, 0); (0, 1); (1, 0) ]
+    (W.sampled_delays (R.Fwr 2) ~max_delay:0);
+  Alcotest.check delays "simultaneous start only" [ (0, 0) ]
+    (W.sampled_delays R.Cheap_simultaneous ~max_delay:2)
 
 let test_worst_for_flags_failure () =
   let n = 6 in
@@ -409,7 +458,9 @@ let () =
           prop_sample_pairs;
           tc "exhaustive when small" test_sample_pairs_exhaustive_when_small;
           tc "ring_delays" test_ring_delays;
+          tc "sampled_delays" test_sampled_delays;
           tc "worst_for hand-checked" test_worst_for_agrees_with_bounds;
+          tc "worst_for position spaces" test_worst_for_position_spaces;
           tc "worst_for flags failure" test_worst_for_flags_failure;
           tc "worst_for refuses mixed bounds" test_worst_for_mixed_bounds;
           tc "auto picks its kernel by size alone" test_auto_size_rule;

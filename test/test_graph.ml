@@ -1,6 +1,6 @@
 (* Tests for rv_graph: the anonymous port-labeled graph substrate, its
-   builder families, and the map-side algorithms (walks, spanning trees,
-   Eulerian circuits, Hamiltonian certificates, distances). *)
+   builder families, and the map-side algorithms (walks, Eulerian
+   circuits, Hamiltonian certificates). *)
 
 module Pg = Rv_graph.Port_graph
 module Rng = Rv_util.Rng
@@ -221,21 +221,6 @@ let test_wheel_hamiltonian () =
         (Rv_graph.Hamilton.check (Rv_graph.Special.wheel 7) cycle)
   | None -> Alcotest.fail "wheel must be Hamiltonian"
 
-(* ------------------------------------------------------------------ Dist *)
-
-let test_dist_ring () =
-  let g = Rv_graph.Ring.oriented 10 in
-  check "dist 0 5" 5 (Rv_graph.Dist.distance g 0 5);
-  check "dist 0 7" 3 (Rv_graph.Dist.distance g 0 7);
-  check "diameter" 5 (Rv_graph.Dist.diameter g);
-  check "pairs at 5" 10 (List.length (Rv_graph.Dist.pairs_at_distance g 5))
-
-let test_dist_grid () =
-  let g = Rv_graph.Grid.make ~rows:3 ~cols:3 in
-  check "corner to corner" 4 (Rv_graph.Dist.distance g 0 8);
-  check "diameter" 4 (Rv_graph.Dist.diameter g);
-  check "ecc center" 2 (Rv_graph.Dist.eccentricity g 4)
-
 (* ------------------------------------------------------------------ Walk *)
 
 let prop_dfs_covers_and_returns =
@@ -364,26 +349,6 @@ let test_hamilton_brute_force () =
   expect_invalid "size limit" (fun () ->
       ignore (Rv_graph.Hamilton.find_brute_force (Rv_graph.Ring.oriented 20)))
 
-(* -------------------------------------------------------------- Spanning *)
-
-let prop_spanning_trees =
-  qtest "bfs and dfs spanning trees are valid" graph_arb (fun g ->
-      let ok = ref true in
-      let n = Pg.n g in
-      List.iter
-        (fun root ->
-          let bt = Rv_graph.Spanning.bfs g ~root in
-          let dt = Rv_graph.Spanning.dfs g ~root in
-          if not (Rv_graph.Spanning.is_spanning_tree g bt) then ok := false;
-          if not (Rv_graph.Spanning.is_spanning_tree g dt) then ok := false;
-          let dist = Rv_graph.Dist.bfs g root in
-          let depth = Rv_graph.Spanning.depth bt in
-          for v = 0 to n - 1 do
-            if depth.(v) <> dist.(v) then ok := false
-          done)
-        [ 0; n - 1 ];
-      !ok)
-
 (* ------------------------------------------------------------------- Dot *)
 
 let test_dot () =
@@ -426,7 +391,6 @@ let () =
           tc "petersen not hamiltonian" test_petersen_not_hamiltonian;
           tc "wheel hamiltonian" test_wheel_hamiltonian;
         ] );
-      ("dist", [ tc "ring distances" test_dist_ring; tc "grid distances" test_dist_grid ]);
       ( "walk",
         [
           prop_dfs_covers_and_returns;
@@ -444,6 +408,5 @@ let () =
         ] );
       ( "hamilton",
         [ tc "check" test_hamilton_check; tc "brute force" test_hamilton_brute_force ] );
-      ("spanning", [ prop_spanning_trees ]);
       ("dot", [ tc "render" test_dot ]);
     ]

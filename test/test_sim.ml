@@ -1,11 +1,11 @@
 (* Tests for rv_sim: the synchronous execution model — meeting semantics,
    unnoticed edge crossings, wake-up delays in both placement models, cost
-   accounting, adversary sweeps and the k-agent extension. *)
+   accounting and trace recording.  The worst case over the adversary's
+   choices is Workload.worst_for's, tested in test_experiments. *)
 
 module Pg = Rv_graph.Port_graph
 module Ex = Rv_explore.Explorer
 module Sim = Rv_sim.Sim
-module Adv = Rv_sim.Adversary
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -266,114 +266,6 @@ let test_trace_cap_in_run () =
   let off = Sim.run ~trace_cap:2 ~g ~max_rounds:10 walker sitter in
   Alcotest.(check bool) "no trace unless recording" true (off.Sim.trace = None)
 
-(* --------------------------------------------------------------- Adversary *)
-
-let cheap_sim_instance ~n label () =
-  Rv_core.Schedule.to_instance
-    (Rv_core.Cheap.schedule_simultaneous ~label
-       ~explorer:(Rv_explore.Ring_walk.clockwise ~n))
-
-let test_adversary_hand_computed () =
-  (* CheapSim labels 1 vs 2 on a 6-ring, simultaneous: agent 1 explores in
-     rounds 1..5 and must find agent 2 (asleep until round 5E+1... in fact
-     waiting (2-1)*5 = 5 rounds).  Worst gap makes the meeting land at
-     round 5 = E. *)
-  let n = 6 in
-  match
-    Adv.sweep ~g:(ring n) ~max_rounds:1000 ~positions:`Fixed_first ~delays:[ (0, 0) ]
-      ~make_a:(cheap_sim_instance ~n 1) ~make_b:(cheap_sim_instance ~n 2) ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-      Alcotest.(check int) "worst time = E" (n - 1) r.Adv.worst_time;
-      Alcotest.(check int) "worst cost = E" (n - 1) r.Adv.worst_cost;
-      Alcotest.(check int) "runs" (n - 1) r.Adv.runs
-
-let test_adversary_flags_failure () =
-  (* Two idle agents never meet. *)
-  let idle () = scripted [] in
-  match
-    Adv.sweep ~g:(ring 5) ~max_rounds:50 ~positions:`Fixed_first ~delays:[ (0, 0) ]
-      ~make_a:idle ~make_b:idle ()
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-meeting sweep reported Ok"
-
-let test_delays_upto () =
-  let ds = Adv.delays_upto 2 in
-  Alcotest.(check (list (pair int int))) "shape" [ (0, 0); (0, 1); (0, 2); (1, 0); (2, 0) ] ds
-
-let test_position_spaces () =
-  let g = ring 5 in
-  let count space =
-    match
-      Adv.sweep ~g ~max_rounds:500 ~positions:space ~delays:[ (0, 0) ]
-        ~make_a:(cheap_sim_instance ~n:5 1) ~make_b:(cheap_sim_instance ~n:5 2) ()
-    with
-    | Ok r -> r.Adv.runs
-    | Error e -> Alcotest.failf "sweep: %s" e
-  in
-  Alcotest.(check int) "fixed first" 4 (count `Fixed_first);
-  Alcotest.(check int) "all pairs" 20 (count `All_pairs);
-  Alcotest.(check int) "explicit" 2 (count (`Pairs [ (0, 1); (3, 4) ]))
-
-(* ------------------------------------------------------------------- Multi *)
-
-let test_multi_matches_two_agent () =
-  let n = 8 in
-  let out =
-    Rv_sim.Multi.run ~g:(ring n) ~max_rounds:1000 ~stop:`On_all_pairs
-      [
-        { Rv_sim.Multi.name = "a"; start = 0; delay = 0; step = cheap_sim_instance ~n 1 () };
-        { Rv_sim.Multi.name = "b"; start = 4; delay = 0; step = cheap_sim_instance ~n 2 () };
-      ]
-  in
-  (match out.Rv_sim.Multi.pairwise with
-  | [ ("a", "b", r) ] ->
-      let two =
-        Sim.run ~g:(ring n) ~max_rounds:1000
-          { Sim.start = 0; delay = 0; step = cheap_sim_instance ~n 1 () }
-          { Sim.start = 4; delay = 0; step = cheap_sim_instance ~n 2 () }
-      in
-      Alcotest.(check (option int)) "same meeting round" (Some r) two.Sim.meeting_round
-  | _ -> Alcotest.fail "expected exactly one pair");
-  Alcotest.(check (option int)) "gathered = pairwise for 2 agents"
-    (Some (match out.Rv_sim.Multi.pairwise with [ (_, _, r) ] -> r | _ -> -1))
-    out.Rv_sim.Multi.gathered_round
-
-let test_multi_three_agents_all_pairs () =
-  (* Three CheapSim agents on a ring: the smallest label explores first and
-     meets the two sleepers; all pairs eventually meet. *)
-  let n = 9 in
-  let out =
-    Rv_sim.Multi.run ~g:(ring n) ~max_rounds:10_000 ~stop:`On_all_pairs
-      [
-        { Rv_sim.Multi.name = "x"; start = 0; delay = 0; step = cheap_sim_instance ~n 1 () };
-        { Rv_sim.Multi.name = "y"; start = 3; delay = 0; step = cheap_sim_instance ~n 2 () };
-        { Rv_sim.Multi.name = "z"; start = 6; delay = 0; step = cheap_sim_instance ~n 3 () };
-      ]
-  in
-  Alcotest.(check int) "three pairs met" 3 (List.length out.Rv_sim.Multi.pairwise);
-  Alcotest.(check int) "three cost entries" 3 (List.length out.Rv_sim.Multi.costs)
-
-let test_multi_validation () =
-  let idle () = scripted [] in
-  let agent name start delay =
-    { Rv_sim.Multi.name; start; delay; step = idle () }
-  in
-  let run agents =
-    match Rv_sim.Multi.run ~g:(ring 6) ~max_rounds:5 ~stop:`Never agents with
-    | exception Invalid_argument _ -> `Rejected
-    | _ -> `Accepted
-  in
-  Alcotest.(check bool) "one agent" true (run [ agent "a" 0 0 ] = `Rejected);
-  Alcotest.(check bool) "duplicate starts" true
-    (run [ agent "a" 0 0; agent "b" 0 0 ] = `Rejected);
-  Alcotest.(check bool) "duplicate names" true
-    (run [ agent "a" 0 0; agent "a" 1 0 ] = `Rejected);
-  Alcotest.(check bool) "no zero delay" true
-    (run [ agent "a" 0 1; agent "b" 1 2 ] = `Rejected)
-
 let () =
   Alcotest.run "rv_sim"
     [
@@ -395,18 +287,5 @@ let () =
           tc "trace contents" test_trace_contents;
           tc "trace ring cap" test_trace_ring_cap;
           tc "trace_cap bounds a recorded run" test_trace_cap_in_run;
-        ] );
-      ( "adversary",
-        [
-          tc "hand-computed worst case" test_adversary_hand_computed;
-          tc "flags failure" test_adversary_flags_failure;
-          tc "delays_upto" test_delays_upto;
-          tc "position spaces" test_position_spaces;
-        ] );
-      ( "multi",
-        [
-          tc "matches two-agent sim" test_multi_matches_two_agent;
-          tc "three agents all pairs" test_multi_three_agents_all_pairs;
-          tc "validation" test_multi_validation;
         ] );
     ]
