@@ -157,25 +157,20 @@ module Stats = struct
     Atomic.set image_trajs 0
 end
 
-(* Per-task cell counts, flushed to the process-wide atomics once per
-   task — the hot loop never touches shared state. *)
-type tally = { mutable ref_c : int; mutable traj_c : int; mutable intv_c : int }
-
-(* Image trajectories are derived inside Traj_cache.get, below any
-   task's tally, so they are counted in the building domain's own cell
-   and moved out by that domain's next flush — a domain runs one task
-   at a time, so each flush carries exactly its task's images. *)
-let images_built = Domain.DLS.new_key (fun () -> ref 0)
+(* Per-task counts, flushed to the process-wide atomics once per task —
+   the hot loop never touches shared state. *)
+type tally = {
+  mutable ref_c : int;
+  mutable traj_c : int;
+  mutable intv_c : int;
+  mutable images : int;
+}
 
 let flush_tally t =
   if t.ref_c > 0 then ignore (Atomic.fetch_and_add Stats.reference_cells t.ref_c);
   if t.traj_c > 0 then ignore (Atomic.fetch_and_add Stats.traj_cells t.traj_c);
   if t.intv_c > 0 then ignore (Atomic.fetch_and_add Stats.interval_cells t.intv_c);
-  let images = Domain.DLS.get images_built in
-  if !images > 0 then begin
-    ignore (Atomic.fetch_and_add Stats.image_trajs !images);
-    images := 0
-  end
+  if t.images > 0 then ignore (Atomic.fetch_and_add Stats.image_trajs t.images)
 
 (* Below this many configurations `Auto keeps the reference simulator.
    Such a sweep finishes in tens of microseconds on either kernel, and
@@ -222,6 +217,10 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   let build_traj ~label ~start =
     Rv_sim.Traj.of_blocks ~obs:walk_obs ~g ~start (blocks_of ~label ~start)
   in
+  (* One trajectory cache per sweep, around the plain build: the
+     unreduced trajectory kernel keeps every walk it scans there, a
+     reduced sweep only each label's walk from start 0. *)
+  let cache = Rv_sim.Traj_cache.create ~build:build_traj () in
   (* --- symmetry reduction ---------------------------------------------
      Only the full ordered-pair space can be quotiented (Fixed_first is
      already a rotation transversal; explicit pair lists carry caller
@@ -232,46 +231,32 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
      orbit invariance, so certification failure falls back to the
      unreduced sweep rather than trusting the graph alone.
 
-     Each label's walk is stepped once, from start 0, into a trajectory
-     cache whose build for any other start [c] is that walk's image under
-     the automorphism sending 0 to c (Traj.image) — exact once the label
-     is certified, which is what the streamed walks from every phi(0)
-     prove.  Start-0 walks live only in the cache, under its memory
-     budget; evicted ones are rebuilt on demand. *)
+     Each label's walk is stepped once, from start 0, into the cache; the
+     walk from any other start [c] is its image under the automorphism
+     sending 0 to c (Traj.image) — exact once the label is certified,
+     which is what the streamed walks from every phi(0) prove.  A reduced
+     chunk derives that image just before the representative's delay
+     scans and drops it after them. *)
   let sym_wanted =
     sym
     && (match positions with `All_pairs -> true | `Fixed_first | `Pairs _ -> false)
     && have_work
   in
-  let symq =
-    if not sym_wanted then None
+  let group, symq =
+    if not sym_wanted then ("off", None)
     else
       let s = Sym.detect g in
-      if not (Sym.reducible s) then begin
-        Atomic.set Stats.sym_group "none";
-        Atomic.set Stats.orbit 1;
-        None
-      end
+      if not (Sym.reducible s) then ("none", None)
       else begin
         let labels =
           List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
         in
-        let rec sym_cache = lazy (Rv_sim.Traj_cache.create ~build ())
-        and build ~label ~start =
-          if start = 0 then build_traj ~label ~start
-          else begin
-            incr (Domain.DLS.get images_built);
-            Rv_sim.Traj.image (Sym.from_zero s start)
-              (Rv_sim.Traj_cache.get (Lazy.force sym_cache) ~label ~start:0)
-          end
-        in
-        let sym_cache = Lazy.force sym_cache in
         let autos = Sym.automorphisms s in
         let walks = ref 0 in
         let certified =
           List.for_all
             (fun label ->
-              let t0 = Rv_sim.Traj_cache.get sym_cache ~label ~start:0 in
+              let t0 = Rv_sim.Traj_cache.get cache ~label ~start:0 in
               let ok = ref true and i = ref 1 in
               while !ok && !i < Array.length autos do
                 let start = autos.(!i).(0) in
@@ -284,22 +269,12 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
             labels
         in
         ignore (Atomic.fetch_and_add Stats.certify_walks !walks);
-        if certified then begin
-          Atomic.set Stats.sym_group (Sym.group_name s);
-          Atomic.set Stats.orbit (Sym.orbit_size s);
-          Some (s, sym_cache)
-        end
-        else begin
-          Atomic.set Stats.sym_group (Sym.group_name s ^ "/uncertified");
-          Atomic.set Stats.orbit 1;
-          None
-        end
+        if certified then (Sym.group_name s, Some s)
+        else (Sym.group_name s ^ "/uncertified", None)
       end
   in
-  if not sym_wanted then begin
-    Atomic.set Stats.sym_group "off";
-    Atomic.set Stats.orbit 1
-  end;
+  Atomic.set Stats.sym_group group;
+  Atomic.set Stats.orbit (match symq with Some s -> Sym.orbit_size s | None -> 1);
   (* Representative cells per label pair: under a certified reduction the
      canonical pairs are exactly (0, c) for c in 1..n-1 (free transitive
      action), 1/orbit of the full ordered-pair space. *)
@@ -318,11 +293,15 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     | `Reference -> false
     | `Auto -> configs >= small_sweep_configs
   in
-  (* The reference path checks per run that both agents' explorers
-     declare the same bound E (Rendezvous.run); replicate the check up
-     front.  Each distinct start's bound is read once, so a position pair
-     costs two lookups, not two explorer constructions. *)
+  (* The reference path checks per run that the labels differ and that
+     both agents' explorers declare the same bound E (Rendezvous.run);
+     replicate the checks up front.  Each distinct start's bound is read
+     once, so a position pair costs two lookups, not two explorer
+     constructions. *)
   if use_fast then begin
+    List.iter
+      (fun (la, lb) -> if la = lb then invalid_arg "Rendezvous.run: labels must be distinct")
+      pairs;
     let bounds = Hashtbl.create 64 in
     let bound_at start =
       match Hashtbl.find_opt bounds start with
@@ -338,45 +317,39 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
           invalid_arg "Rendezvous.run: the two agents' explorers declare different bounds E")
       expand
   end;
-  let cache =
-    if not use_fast then None
-    else
-      match symq with
-      | Some (_, sym_cache) -> Some sym_cache
-      | None -> Some (Rv_sim.Traj_cache.create ~build:build_traj ())
-  in
   (* Simulate one configuration; returns the outcome fields the sweep
      consumes.  All paths agree exactly (property-tested in
      test/test_traj.ml for both models, re-asserted at bench time and by
      CI's byte comparisons of rv sweep under RV_NO_TRAJ / RV_NO_SYM). *)
+  let scan tally ta tb ~da ~db =
+    let max_rounds =
+      max (ta.Rv_sim.Traj.rounds + da) (tb.Rv_sim.Traj.rounds + db) + 1
+    in
+    let m =
+      match model_v with
+      | Rv_sim.Sim.Waiting ->
+          tally.traj_c <- tally.traj_c + 1;
+          Rv_sim.Traj.meet ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
+      | Rv_sim.Sim.Parachute ->
+          tally.intv_c <- tally.intv_c + 1;
+          Rv_sim.Traj.meet_intervals ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
+    in
+    (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
+  in
   let simulate tally ~la ~lb ~pa ~pb ~da ~db =
-    match cache with
-    | Some cache ->
-        if la = lb then invalid_arg "Rendezvous.run: labels must be distinct";
-        let ta = Rv_sim.Traj_cache.get cache ~label:la ~start:pa in
-        let tb = Rv_sim.Traj_cache.get cache ~label:lb ~start:pb in
-        let max_rounds =
-          max (ta.Rv_sim.Traj.rounds + da) (tb.Rv_sim.Traj.rounds + db) + 1
-        in
-        let m =
-          match model_v with
-          | Rv_sim.Sim.Waiting ->
-              tally.traj_c <- tally.traj_c + 1;
-              Rv_sim.Traj.meet ~a:ta ~b:tb ~delay_a:da ~delay_b:db ~max_rounds
-          | Rv_sim.Sim.Parachute ->
-              tally.intv_c <- tally.intv_c + 1;
-              Rv_sim.Traj.meet_intervals ~a:ta ~b:tb ~delay_a:da ~delay_b:db
-                ~max_rounds
-        in
-        (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
-    | None ->
-        tally.ref_c <- tally.ref_c + 1;
-        let out =
-          R.run ?model ~g ~explorer ~algorithm ~space
-            { R.label = la; start = pa; delay = da }
-            { R.label = lb; start = pb; delay = db }
-        in
-        (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run)
+    if use_fast then begin
+      let ta = Rv_sim.Traj_cache.get cache ~label:la ~start:pa in
+      scan tally ta (Rv_sim.Traj_cache.get cache ~label:lb ~start:pb) ~da ~db
+    end
+    else begin
+      tally.ref_c <- tally.ref_c + 1;
+      let out =
+        R.run ?model ~g ~explorer ~algorithm ~space
+          { R.label = la; start = pa; delay = da }
+          { R.label = lb; start = pb; delay = db }
+      in
+      (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run)
+    end
   in
   let obs = Rv_obs.Obs.enabled () in
   let pair_arr = Array.of_list pairs in
@@ -464,7 +437,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
           Rv_obs.Obs.begin_span ~cat:"workload"
             ~args:[ ("la", Rv_obs.Json.Int la); ("lb", Rv_obs.Json.Int lb) ]
             "workload.pair";
-        let tally = { ref_c = 0; traj_c = 0; intv_c = 0 } in
+        let tally = { ref_c = 0; traj_c = 0; intv_c = 0; images = 0 } in
         let r =
           replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d:_ ~da ~db ->
               simulate tally ~la ~lb ~pa ~pb ~da ~db)
@@ -479,7 +452,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
       merge
         (Engine_sweep.map_array ?pool ~chunk:1 (Array.length pair_arr) (fun i ->
              run_pair pair_arr.(i)))
-  | Some (s, _) ->
+  | Some s ->
       (* Orbit-reduced sweep: simulate only the canonical representatives
          (0, c) — 1/orbit of the pair space — then replay the full space
          through the representative table.  Representative cells are
@@ -510,14 +483,31 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
           Rv_obs.Obs.begin_span ~cat:"workload"
             ~args:[ ("la", Rv_obs.Json.Int la); ("lb", Rv_obs.Json.Int lb) ]
             "workload.rep_chunk";
-        let tally = { ref_c = 0; traj_c = 0; intv_c = 0 } in
+        let tally = { ref_c = 0; traj_c = 0; intv_c = 0; images = 0 } in
         let lo = chunk_lo j and hi = chunk_lo (j + 1) in
         let out = Array.make ((hi - lo) * nd) (None, 0, 0) in
         for i = lo to hi - 1 do
           let pb = i + 1 in
+          (* On the trajectory kernel the walk from pb is the image of lb's
+             start-0 walk, derived here and dropped after its delay scans. *)
+          let cell =
+            if not use_fast then simulate tally ~la ~lb ~pa:0 ~pb
+            else begin
+              let tb =
+                Rv_obs.Obs.span ~cat:"traj"
+                  ~args:[ ("label", Rv_obs.Json.Int lb); ("start", Rv_obs.Json.Int pb) ]
+                  "traj.build"
+                  (fun () ->
+                    Rv_sim.Traj.image (Sym.from_zero s pb)
+                      (Rv_sim.Traj_cache.get cache ~label:lb ~start:0))
+              in
+              tally.images <- tally.images + 1;
+              scan tally (Rv_sim.Traj_cache.get cache ~label:la ~start:0) tb
+            end
+          in
           for d = 0 to nd - 1 do
             let da, db = delay_arr.(d) in
-            out.(((i - lo) * nd) + d) <- simulate tally ~la ~lb ~pa:0 ~pb ~da ~db
+            out.(((i - lo) * nd) + d) <- cell ~da ~db
           done
         done;
         flush_tally tally;

@@ -52,7 +52,9 @@ module Stats : sig
             automorphism until the first failure *)
     image_trajs : int;
         (** trajectories derived as automorphic images of a start-0 walk
-            ({!Rv_sim.Traj.image}) instead of being stepped *)
+            ({!Rv_sim.Traj.image}) instead of being stepped: one per
+            label pair and representative of a reduced sweep on the
+            trajectory kernel *)
   }
 
   val snapshot : unit -> snapshot
@@ -112,9 +114,11 @@ val worst_for :
     representative [(0, c)] of each position-pair orbit —
     [1/orbit_size] of the space — replaying the full configuration
     stream through the representative table.  Each label's walk is
-    stepped once, from start 0; the walk from [c] is its image under the
-    automorphism sending 0 to [c] ({!Rv_sim.Traj.image}), both held by
-    the trajectory cache under its memory budget.  Without a [sink],
+    stepped once, from start 0, into the sweep's one trajectory cache,
+    under its memory budget; the walk from [c] is its image under the
+    automorphism sending 0 to [c] ({!Rv_sim.Traj.image}), derived just
+    before representative [(0, c)]'s delay scans and dropped after them,
+    so images never enter the cache.  Without a [sink],
     and when every representative met, the worst cell, [progress] and
     {!Stats} coverage are folded straight from the table instead.  The
     output — worst cell and every sink byte — is identical to the

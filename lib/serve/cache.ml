@@ -17,8 +17,6 @@ type t = {
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used *)
   mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
 }
 
@@ -26,8 +24,6 @@ type stats = {
   entries : int;
   bytes : int;
   capacity : int;
-  hits : int;
-  misses : int;
   evictions : int;
 }
 
@@ -39,8 +35,6 @@ let create ~max_bytes =
     head = None;
     tail = None;
     bytes = 0;
-    hits = 0;
-    misses = 0;
     evictions = 0;
   }
 
@@ -86,9 +80,6 @@ let find (t : t) key =
           push_front t n;
           Some n.fields
   in
-  (match r with
-  | Some _ -> t.hits <- t.hits + 1
-  | None -> t.misses <- t.misses + 1);
   Mutex.unlock t.lock;
   r
 
@@ -118,8 +109,6 @@ let stats (t : t) =
       entries = Hashtbl.length t.tbl;
       bytes = t.bytes;
       capacity = t.capacity;
-      hits = t.hits;
-      misses = t.misses;
       evictions = t.evictions;
     }
   in

@@ -25,8 +25,6 @@ type stats = {
   entries : int;
   bytes : int;
   capacity : int;
-  hits : int;
-  misses : int;
   evictions : int;
 }
 

@@ -95,16 +95,26 @@ let test_progress_throughput_eta () =
   let p = Progress.create ~total:10 () in
   Alcotest.(check (option (float 0.001))) "eta before any tick" None (Progress.eta p);
   (* Half done: throughput is completed/elapsed and the ETA extrapolates
-     the remaining half at the same rate. *)
+     the remaining half at the same rate, so it equals the elapsed time
+     its own clock read saw.  Each call reads the clock, so both are
+     bracketed by elapsed readings taken before and after them. *)
   for _ = 1 to 5 do Progress.tick p done;
   Unix.sleepf 0.02;
+  let e1 = Progress.elapsed p in
+  let eta = Progress.eta p in
   let tp = Progress.throughput p in
+  let e2 = Progress.elapsed p in
+  let within id lo hi v =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %g <= %g <= %g" id lo v hi)
+      true
+      (lo -. 1e-9 <= v && v <= hi +. 1e-9)
+  in
   Alcotest.(check bool) "throughput positive" true (tp > 0.);
-  (match Progress.eta p with
+  within "throughput = completed / elapsed" (5. /. e2) (5. /. e1) tp;
+  (match eta with
   | None -> Alcotest.fail "eta expected mid-flight"
-  | Some eta ->
-      Alcotest.(check (float 0.001)) "eta = remaining / rate"
-        (5. /. tp) eta);
+  | Some eta -> within "eta = remaining / rate" e1 e2 eta);
   (* Finished: no ETA, throughput still defined. *)
   for _ = 1 to 5 do Progress.tick p done;
   Alcotest.(check (option (float 0.001))) "eta when done" None (Progress.eta p);

@@ -3,7 +3,9 @@
    checking, canonical-pair properties, and — the load-bearing one —
    full-record equality of the reduced and unreduced sweeps across
    graph families, algorithms and seeded delay draws.  Also checks that
-   the dispatch calibration still measures positive figures. *)
+   a reduced sweep derives one image per label pair and representative
+   and caches only start-0 walks, and that the dispatch calibration still
+   measures positive figures. *)
 
 module Pg = Rv_graph.Port_graph
 module Sym = Rv_graph.Symmetry
@@ -263,50 +265,43 @@ let test_unreducible_families_report_none () =
       ("random:8:4", Rv_graph.Random_graph.connected (Rng.create ~seed:3) ~n:8 ~extra_edges:4);
     ]
 
-(* ------------------------------------------------- cache re-entrancy *)
+(* ------------------------------------------------- image accounting *)
 
-(* The reduced sweep's cache builds the walk from start c as the image of
-   the cached walk from 0 — a build that calls [get] on its own context.
-   With a budget this small every insert rotates the generations, so the
-   inner lookup rotates under the outer one. *)
-let test_cache_reentrant_build () =
-  let g = Rv_graph.Ring.oriented 6 in
-  let s = Sym.detect g in
-  let step _ = Rv_explore.Explorer.Move 0 in
-  let walk ~start = Rv_sim.Traj.of_blocks ~g ~start [ Rv_sim.Traj.Run (step, 3) ] in
-  let builds = ref 0 in
-  let rec ctx = lazy (Rv_sim.Traj_cache.create ~budget_rounds:1 ~build ())
-  and build ~label ~start =
-    incr builds;
-    if start = 0 then walk ~start
-    else
-      Rv_sim.Traj.image (Sym.from_zero s start)
-        (Rv_sim.Traj_cache.get (Lazy.force ctx) ~label ~start:0)
+(* On the trajectory kernel a reduced sweep derives the walk from each
+   representative's start where it is scanned: one image per label pair
+   and representative, and only the labels' start-0 walks enter the
+   trajectory cache — rv sweep -g ring:16 -L 16 --all-pairs, whose 8
+   default pairs span 10 labels.  A 2-domain pool derives the same
+   images. *)
+let test_one_image_per_representative () =
+  let space = 16 in
+  let g = Rv_graph.Ring.oriented space in
+  let explorer ~start:_ = Rv_explore.Ring_walk.clockwise ~n:space in
+  let pairs = W.sample_pairs ~space ~max_pairs:8 in
+  let delays = W.sampled_delays R.Fast ~max_delay:8 in
+  let sweep ?pool ~sym () =
+    W.Stats.reset ();
+    Rv_sim.Traj_cache.reset_stats ();
+    let r =
+      W.worst_for ?pool ~dispatch:`Fast ~sym ~g ~algorithm:R.Fast ~space ~explorer ~pairs
+        ~positions:`All_pairs ~delays ()
+    in
+    (r, W.Stats.snapshot (), Rv_sim.Traj_cache.stats ())
   in
-  let ctx = Lazy.force ctx in
-  Rv_sim.Traj_cache.reset_stats ();
-  let check_walk id start (t : Rv_sim.Traj.t) =
-    let w = walk ~start in
-    for r = 0 to w.Rv_sim.Traj.rounds + 1 do
-      let at = Printf.sprintf "%s round %d" id r in
-      Alcotest.(check int) (at ^ " pos") (Rv_sim.Traj.pos_at w r) (Rv_sim.Traj.pos_at t r);
-      Alcotest.(check int) (at ^ " port") (Rv_sim.Traj.port_at w r) (Rv_sim.Traj.port_at t r)
-    done;
-    Alcotest.(check int) (id ^ " start") start t.Rv_sim.Traj.start
+  let labels = List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs) in
+  Alcotest.(check int) "labels" 10 (List.length labels);
+  let worst = Alcotest.(result (pair int int) string) in
+  let r, st, cs = sweep ~sym:true () in
+  Alcotest.(check string) "reduced" "order-16" st.W.Stats.sym_group;
+  Alcotest.(check int) "images" 120 st.W.Stats.image_trajs;
+  Alcotest.(check int) "cache misses: start-0 walks only" 10 cs.Rv_sim.Traj_cache.misses;
+  let ru, _, _ = sweep ~sym:false () in
+  Alcotest.check worst "worst = unreduced" ru r;
+  let rp, stp, _ =
+    Rv_engine.Pool.with_pool ~jobs:2 (fun pool -> sweep ~pool ~sym:true ())
   in
-  (* Every insert rotates: the generation it lands in becomes the
-     previous one, so a key survives exactly until the next insert. *)
-  check_walk "start-0 walk" 0 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:0);
-  (* Miss; its build looks up (1,0), a second-chance hit that is promoted
-     and rotates; the outer insert then lands in the fresh generation. *)
-  check_walk "first image" 2 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:2);
-  check_walk "image hit" 2 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:2);
-  (* Miss, and (1,0) is two inserts old: the inner lookup rebuilds it. *)
-  check_walk "second image" 3 (Rv_sim.Traj_cache.get ctx ~label:1 ~start:3);
-  let st = Rv_sim.Traj_cache.stats () in
-  Alcotest.(check int) "builds" 4 !builds;
-  Alcotest.(check int) "misses" 4 st.Rv_sim.Traj_cache.misses;
-  Alcotest.(check int) "hits" 2 st.Rv_sim.Traj_cache.hits
+  Alcotest.(check int) "2 domains: images" 120 stp.W.Stats.image_trajs;
+  Alcotest.check worst "2 domains: same worst" r rp
 
 (* ------------------------------------------------- dispatch model *)
 
@@ -338,7 +333,8 @@ let () =
             test_failure_replays;
           tc "unreducible families fall back and report none"
             test_unreducible_families_report_none;
+          tc "one image per pair and representative, start-0 walks cached"
+            test_one_image_per_representative;
         ] );
-      ("cache", [ tc "re-entrant build across a rotation" test_cache_reentrant_build ]);
       ("dispatch", [ tc "calibrated constants are positive" test_dispatch_constants ]);
     ]
