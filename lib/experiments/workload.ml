@@ -110,7 +110,7 @@ module Stats = struct
     interval_cells : int;
     sym_group : string;
     orbit_size : int;
-    certify_walks : int;
+    certify_executions : int;
     image_trajs : int;
   }
 
@@ -126,7 +126,7 @@ module Stats = struct
 
   let orbit = Atomic.make 1
 
-  let certify_walks = Atomic.make 0
+  let certify_executions = Atomic.make 0
 
   let image_trajs = Atomic.make 0
 
@@ -142,7 +142,7 @@ module Stats = struct
       interval_cells;
       sym_group = Atomic.get sym_group;
       orbit_size = Atomic.get orbit;
-      certify_walks = Atomic.get certify_walks;
+      certify_executions = Atomic.get certify_executions;
       image_trajs = Atomic.get image_trajs;
     }
 
@@ -153,7 +153,7 @@ module Stats = struct
     Atomic.set interval_cells 0;
     Atomic.set sym_group "off";
     Atomic.set orbit 1;
-    Atomic.set certify_walks 0;
+    Atomic.set certify_executions 0;
     Atomic.set image_trajs 0
 end
 
@@ -179,6 +179,37 @@ let flush_tally t =
    ran at 0.63-0.69x of the reference simulator when forced onto the
    trajectory kernel. *)
 let small_sweep_configs = 128
+
+(* The group is transitive, so every node is some phi(0) and has node
+   0's degree: these are all the first executions a schedule can run.
+   The interface gives the induction that makes them enough. *)
+let certify ~g s ~explorer =
+  let obs = Rv_sim.Traj.observations g in
+  let others =
+    List.filter_map
+      (fun phi -> if phi.(0) = 0 then None else Some phi.(0))
+      (Array.to_list (Sym.automorphisms s))
+  in
+  let first_execution u = (explorer ~start:u).Rv_explore.Explorer.fresh () in
+  let e = (explorer ~start:0).Rv_explore.Explorer.bound in
+  let executions = ref 0 in
+  let certified =
+    List.for_all (fun u -> (explorer ~start:u).Rv_explore.Explorer.bound = e) others
+    && List.for_all
+         (fun entry ->
+           incr executions;
+           let ports =
+             Rv_sim.Traj.execution_ports obs ~node:0 ~entry (first_execution 0) ~rounds:e
+           in
+           List.for_all
+             (fun u ->
+               incr executions;
+               Rv_sim.Traj.takes_ports obs ~node:u ~entry (first_execution u) ports)
+             others)
+         (None :: List.init (Pg.degree g 0) Option.some)
+  in
+  ignore (Atomic.fetch_and_add Stats.certify_executions !executions);
+  certified
 
 let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     ?graph_spec ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
@@ -226,17 +257,16 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
      already a rotation transversal; explicit pair lists carry caller
      intent).  The group is detected from scratch with checked witnesses
      (Rv_graph.Symmetry), and the walk family is then certified
-     equivariant label by label — an explorer like a global Hamiltonian
+     equivariant by [certify] — an explorer like a global Hamiltonian
      walk follows node identities, not observations, and silently breaks
      orbit invariance, so certification failure falls back to the
      unreduced sweep rather than trusting the graph alone.
 
      Each label's walk is stepped once, from start 0, into the cache; the
      walk from any other start [c] is its image under the automorphism
-     sending 0 to c (Traj.image) — exact once the label is certified,
-     which is what the streamed walks from every phi(0) prove.  A reduced
-     chunk derives that image just before the representative's delay
-     scans and drops it after them. *)
+     sending 0 to c (Traj.image), exact once the family is certified.  A
+     reduced chunk derives that image just before the representative's
+     delay scans and drops it after them. *)
   let sym_wanted =
     sym
     && (match positions with `All_pairs -> true | `Fixed_first | `Pairs _ -> false)
@@ -247,31 +277,8 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     else
       let s = Sym.detect g in
       if not (Sym.reducible s) then ("none", None)
-      else begin
-        let labels =
-          List.sort_uniq Int.compare (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
-        in
-        let autos = Sym.automorphisms s in
-        let walks = ref 0 in
-        let certified =
-          List.for_all
-            (fun label ->
-              let t0 = Rv_sim.Traj_cache.get cache ~label ~start:0 in
-              let ok = ref true and i = ref 1 in
-              while !ok && !i < Array.length autos do
-                let start = autos.(!i).(0) in
-                incr walks;
-                ok :=
-                  Rv_sim.Traj.same_ports walk_obs ~start (blocks_of ~label ~start) t0;
-                incr i
-              done;
-              !ok)
-            labels
-        in
-        ignore (Atomic.fetch_and_add Stats.certify_walks !walks);
-        if certified then (Sym.group_name s, Some s)
-        else (Sym.group_name s ^ "/uncertified", None)
-      end
+      else if certify ~g s ~explorer then (Sym.group_name s, Some s)
+      else (Sym.group_name s ^ "/uncertified", None)
   in
   Atomic.set Stats.sym_group group;
   Atomic.set Stats.orbit (match symq with Some s -> Sym.orbit_size s | None -> 1);

@@ -46,10 +46,10 @@ module Stats : sig
             found, walk family failed certification), or ["order-<k>"]
             (reduction active) *)
     orbit_size : int;  (** coverage multiplier; 1 unless reduction ran *)
-    certify_walks : int;
-        (** walks stepped from [phi(0)] to certify equivariance
-            ({!Rv_sim.Traj.same_ports}), one per label and nonidentity
-            automorphism until the first failure *)
+    certify_executions : int;
+        (** explorer executions stepped to certify equivariance
+            ({!certify}): one from every node under every first
+            observation, n * (degree + 1), until the first failure *)
     image_trajs : int;
         (** trajectories derived as automorphic images of a start-0 walk
             ({!Rv_sim.Traj.image}) instead of being stepped: one per
@@ -65,6 +65,32 @@ module Stats : sig
 
   val reset : unit -> unit
 end
+
+val certify :
+  g:Rv_graph.Port_graph.t ->
+  Rv_graph.Symmetry.t ->
+  explorer:(start:int -> Rv_explore.Explorer.t) ->
+  bool
+(** [certify ~g s ~explorer] (for a group [s] detected on [g]) is the
+    equivariance check a symmetry-reduced {!worst_for} rests on: every
+    start declares node 0's bound [E] and, for each first observation
+    an execution can begin with (no entry port, or each port of node
+    0's degree), the first execution of [explorer ~start:u] from every
+    node [u = phi 0] takes the ports of the first execution of
+    [explorer ~start:0] from 0 ({!Rv_sim.Traj.takes_ports}).  It steps
+    n * (degree + 1) executions of [E] rounds, whatever the labels,
+    stopping at the first mismatch, and adds them to
+    {!Stats.certify_executions}.
+
+    Every rendezvous schedule runs one family's executions between
+    pauses, so by induction over its blocks, when [certify] holds, every
+    label's walk from [phi 0] takes the ports of its walk from 0 and is
+    that walk's image under [phi] ({!Rv_sim.Traj.image}) — {e provided}
+    the family meets {!Rv_explore.Explorer}'s contract: an execution
+    depends only on the node where it begins and on what it observes.
+    [certify] does not check that premise;
+    {!Rv_explore.Bounds.verify_repeated} does, and every family built by
+    {!Spec.parse_explorer} meets it. *)
 
 val worst_for :
   ?model:Rv_sim.Sim.model ->
@@ -106,11 +132,10 @@ val worst_for :
 
     {b Symmetry reduction.}  When [positions] is [`All_pairs] and [sym]
     is [true] (the default), the sweep detects the graph's port-preserving
-    automorphism group ({!Rv_graph.Symmetry}), certifies that every
-    label's walk is equivariant under it (the walk from each [phi(0)] is
-    streamed against the label's walk from 0, port by port — explorers
-    that follow node identities rather than observations fail here and
-    fall back to the unreduced sweep), and then evaluates only the canonical
+    automorphism group ({!Rv_graph.Symmetry}), certifies that the walk
+    family is equivariant under it ({!certify}: explorers that follow
+    node identities rather than observations fail there and fall back to
+    the unreduced sweep), and then evaluates only the canonical
     representative [(0, c)] of each position-pair orbit —
     [1/orbit_size] of the space — replaying the full configuration
     stream through the representative table.  Each label's walk is
@@ -125,7 +150,11 @@ val worst_for :
     unreduced sweep ([~sym:false]; CI byte-compares the two); the only
     observable difference is eagerness: a failing pair's
     representatives are all evaluated even though the replayed stream
-    stops at the failure.
+    stops at the failure.  The reduction requires [explorer] to meet
+    {!Rv_explore.Explorer}'s contract (see {!certify}); a family that
+    acts on the start it was built for, or on its earlier executions,
+    beyond the node where an execution begins can certify and still
+    yield a wrong reduced sweep.
     [`Fixed_first] is never reduced — under a free transitive action it
     is already an orbit transversal of the [(0, i)] pairs.
 

@@ -13,14 +13,26 @@
     node and the entry port.  An {!instance} is a stateful step function
     called once per round with the current observation; a {!t} bundles the
     declared bound [E] with a factory producing fresh instances — one per
-    execution of [EXPLORE].  Factories may share state across executions
-    (e.g. a tracked map position for map-based procedures), which is legal
-    agent memory.
+    execution of [EXPLORE].
 
     The contract, verified for every implementation by {!Bounds}:
     an instance is stepped exactly [bound] times; by the end, every node of
     the graph has been visited at some round; actions with out-of-range
     ports are errors.
+
+    An agent gets its explorer from a {e family} [make : start:int -> t]
+    (what {!Bounds} and the sweeps take), and the contract covers the
+    family too: an execution's actions depend only on the node where it
+    begins and on what it observes, never on the start the family was
+    built for, nor on earlier executions except through that node.  So
+    the execution that begins at [v] takes the ports that the first
+    execution of [make ~start:v] takes from [v] under the same first
+    observation.  A factory may keep state across executions (the
+    map-based procedures track the agent's position, and cache the last
+    walk they computed) only as a function of that node.
+    {!Bounds.verify_repeated} checks this, and a symmetry-reduced sweep
+    relies on it: it certifies first executions only
+    ([Rv_experiments.Workload.certify]).
 
     Map-based procedures ({!Ham_walk}, {!Map_dfs}, {!Euler_walk}) compile
     the map into port arrays once per graph and replay a slice of one per
@@ -31,8 +43,12 @@ type observation = {
   degree : int;  (** degree of the current node *)
   entry : int option;
       (** port through which the agent entered on the previous round's move;
-          [None] if the previous round was a wait or this is the first step
-          of the execution *)
+          [None] if the previous round was a wait or the agent has not
+          moved yet.  An execution's first step sees [None] after a pause
+          or at the start of a schedule, but when it directly follows
+          another execution it sees the port through which that
+          execution's last-round move entered (the simulator and
+          [Rv_sim.Traj] both pass it on) *)
 }
 
 type action = Wait | Move of int  (** [Move p] exits through port [p] *)

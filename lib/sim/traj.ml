@@ -192,46 +192,36 @@ let port_at t r =
     let s = piece t 0 r in
     if r <= seg_last t.segs s then -1 else t.port.(r + seg_base t.segs s)
 
-let same_ports obs ~start blocks t =
-  block_rounds blocks = t.rounds
-  &&
-  let c = cursor start in
-  let segs = t.segs and port = t.port in
-  let r = ref 0 and s = ref 0 in
-  List.for_all
-    (function
-      | Still k ->
-          (* [t] waits through these rounds too iff its cost is flat. *)
-          if k > 0 then c.entry <- -1;
-          let before = cost_from t !s !r in
-          r := !r + k;
-          s := piece t !s !r;
-          cost_from t !s !r = before
-      | Run (step, k) ->
-          let stop = !r + k and ok = ref true in
-          while !ok && !r < stop do
-            (* Up to [hi], the rounds lie in one piece of [t]: a segment,
-               where it waits, or a run, whose ports are stored. *)
-            s := piece t !s (!r + 1);
-            if !r < seg_last segs !s then begin
-              let hi = Int.min stop (seg_last segs !s) in
-              while !ok && !r < hi do
-                incr r;
-                advance obs step c;
-                if c.taken >= 0 then ok := false
-              done
-            end
-            else begin
-              let hi = Int.min stop (next_first segs !s - 1) and base = seg_base segs !s in
-              while !ok && !r < hi do
-                incr r;
-                advance obs step c;
-                if c.taken <> port.(!r + base) then ok := false
-              done
-            end
-          done;
-          !ok)
-    blocks
+(* A walker at [node] whose first observation has entry port [entry]. *)
+let entry_cursor obs ~node ~entry =
+  let e =
+    match entry with
+    | None -> -1
+    | Some q ->
+        let degree = Array.length obs.tbl.(node) - 1 in
+        if q < 0 || q >= degree then
+          invalid_arg
+            (Printf.sprintf "Traj: entry port %d at node %d (degree %d)" q node degree);
+        q
+  in
+  { node; entry = e; taken = -1 }
+
+let execution_ports obs ~node ~entry step ~rounds =
+  if rounds < 0 then invalid_arg "Traj.execution_ports: negative rounds";
+  let c = entry_cursor obs ~node ~entry in
+  Array.init rounds (fun _ ->
+      advance obs step c;
+      c.taken)
+
+let takes_ports obs ~node ~entry step ports =
+  let c = entry_cursor obs ~node ~entry in
+  let ok = ref true and r = ref 0 in
+  while !ok && !r < Array.length ports do
+    advance obs step c;
+    ok := c.taken = ports.(!r);
+    incr r
+  done;
+  !ok
 
 let image phi t =
   let src = t.pos and nodes = t.seg_node in

@@ -102,29 +102,48 @@ val stored : t -> int
 (** Rounds and segments held: the run rounds plus one per segment.  This
     is what {!Traj_cache} charges an entry against its budget. *)
 
-val same_ports : observations -> start:int -> block list -> t -> bool
-(** [same_ports obs ~start blocks t] is [true] iff [of_blocks ~start
-    blocks] on [obs]'s graph would take port [port_at t r] in every
-    round [r], computed without materializing that walk: the round
-    counts are compared first, the blocks are then stepped from [start]
-    and the first differing port ends the walk, and a [Still] block is
-    checked against [t]'s segment table in O(1) (amortized) as [t]'s
-    move count staying flat through it.  No allocation per round.
-    Steps agents through the same per-round code as {!of_blocks}, so an
-    invalid port raises the same [Invalid_argument].
+val execution_ports :
+  observations ->
+  node:int ->
+  entry:int option ->
+  Rv_explore.Explorer.instance ->
+  rounds:int ->
+  int array
+(** [execution_ports obs ~node ~entry step ~rounds] steps one explorer
+    execution [step] for [rounds] rounds from [node] on [obs]'s graph,
+    alone, and returns the port it takes in each round ([-1] for a
+    wait).  Its first observation is [node]'s degree with entry port
+    [entry]: [None] as at a schedule's start or after a pause, [Some q]
+    as when the execution follows another one whose last move entered
+    [node] through port [q].  Later observations follow its own moves.
+    Steps through the same per-round code as {!of_blocks}, so an invalid
+    port raises the same [Invalid_argument]; so does an [entry] that is
+    not a port of [node]. *)
 
-    This is the equivariance check of a symmetry-reduced sweep: if
-    [phi] is a port-preserving automorphism ({!Rv_graph.Symmetry}),
-    [t] was built from start [0] and [same_ports obs ~start:(phi 0)
-    blocks' t] holds for the same label's blocks [blocks'] from
-    [phi 0], then that walk is exactly [image phi t]. *)
+val takes_ports :
+  observations ->
+  node:int ->
+  entry:int option ->
+  Rv_explore.Explorer.instance ->
+  int array ->
+  bool
+(** [takes_ports obs ~node ~entry step ports] is [execution_ports obs
+    ~node ~entry step ~rounds:(Array.length ports) = ports], computed
+    without allocation and stopped at the first differing port.
+
+    This is the step of a symmetry-reduced sweep's certification
+    ([Rv_experiments.Workload.certify]): when the first execution from
+    every node takes the ports of the one from node 0, under every
+    first observation, and the family meets {!Rv_explore.Explorer}'s
+    contract, every label's walk from [phi 0] takes the ports of its
+    walk from 0, and {!image} applies. *)
 
 val image : int array -> t -> t
 (** [image phi t] is [t] with every stored position and segment node
     mapped through [phi] (and [start] with it); [port], [moves] and the
     segment table are shared, not copied.  When [phi] is a
     port-preserving automorphism and the walk from [phi t.start] takes
-    [t]'s ports ({!same_ports}), this is round for round what
+    [t]'s ports (see {!takes_ports}), this is round for round what
     {!of_blocks} builds from [phi t.start]: equal ports through [phi]
     force [pos' = phi ∘ pos] by induction, with the same [moves].  The
     caller owns that precondition. *)

@@ -468,6 +468,47 @@ let test_schedule_steps_allocate_nothing () =
     obs;
   Alcotest.(check int) "minor words after each block's first round" 0 !words
 
+(* ---------------------------------------------------------------- Contract *)
+
+(* Every execution acts as the first execution of a family built for the
+   node where it begins (Explorer's contract, checked by
+   verify_repeated), for every explorer form that applies to the
+   vertex-transitive graphs a symmetry-reduced sweep certifies on. *)
+let test_contract_every_form () =
+  let module Spec = Rv_experiments.Spec in
+  let checked = ref 0 in
+  List.iter
+    (fun gs ->
+      List.iter
+        (fun espec ->
+          match Spec.parse_explorer gs espec with
+          | Error _ -> ()
+          | Ok make ->
+              incr checked;
+              expect_ok
+                (Printf.sprintf "%s %s" gs.Spec.spec espec)
+                (Bounds.verify_repeated gs.Spec.g ~make ~executions:3))
+        Sym_families.explorer_specs)
+    (Sym_families.spec_graphs ());
+  Alcotest.(check int) "pairings checked" 50 !checked
+
+(* A family whose later executions depend on the start it was built for:
+   each execution covers the ring, but from start 1 the second one walks
+   counter-clockwise, where a family built for the node it begins at
+   walks clockwise. *)
+let test_contract_rejects_start_dependence () =
+  let n = 8 in
+  let g = Rv_graph.Ring.oriented n in
+  let make = Sym_families.contrary ~n in
+  expect_ok "each execution covers" (Bounds.verify g ~make);
+  match Bounds.verify_repeated g ~make ~executions:2 with
+  | Ok () -> Alcotest.fail "start-dependent family accepted"
+  | Error msg ->
+      Alcotest.(check string) "names the execution and its departure"
+        "contrary (execution 2): begun at node 0 with entry port 1, it takes port 1 in \
+         round 1, where a first execution of the family for start 0 takes port 0"
+        msg
+
 (* ------------------------------------------------------------------ Bounds *)
 
 let prop_measured_le_declared =
@@ -517,6 +558,11 @@ let () =
           tc "as explorer" test_uxs_walk_explorer;
           tc "rounds consistent" test_uxs_rounds_consistent;
           tc "corpus size check" test_uxs_corpus_size_check;
+        ] );
+      ( "contract",
+        [
+          tc "every explorer form on vertex-transitive graphs" test_contract_every_form;
+          tc "start-dependent family rejected" test_contract_rejects_start_dependence;
         ] );
       ("bounds", [ prop_measured_le_declared ]);
       ("golden", [ tc "explore walks" test_walks_golden; prop_matches_list_walks ]);

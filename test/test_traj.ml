@@ -509,99 +509,169 @@ let test_image_matches_of_blocks () =
         delay_tolerant)
     (Sym_families.reduced ())
 
-(* The streamed check against its definition — build both walks, compare
-   round counts and ports — from every phi(0).  Every label certifies on
-   the reduced families; the Hamiltonian-cycle walk on the torus follows
-   node identities, and no label does. *)
-let test_same_ports_agrees_with_builds () =
-  let space = 16 in
-  let ham_torus = Rv_graph.Torus.make ~rows:3 ~cols:4 in
-  let cycle = Rv_graph.Torus.hamiltonian_cycle ~rows:3 ~cols:4 in
-  let families =
-    List.map (fun (fam, g, explorer) -> (fam, g, explorer, true)) (Sym_families.reduced ())
-    @ [
-        ( "torus:3x4 ham",
-          ham_torus,
-          (fun ~start -> Rv_explore.Ham_walk.make ham_torus ~cycle ~start),
-          false );
-      ]
-  in
+(* ------------------------------------------------ certification verdict *)
+
+module Spec = Rv_experiments.Spec
+
+(* The per-label meaning of a certified family: for every label, the walk
+   from every phi(0), built with of_blocks, is the image of the walk
+   from 0 (of_blocks lays out the segment table from the block lengths
+   alone, so equal walks are equal records). *)
+let images_hold ~g ~algorithm ~space ~explorer =
+  let autos = Sym.automorphisms (Sym.detect g) in
+  List.for_all
+    (fun label ->
+      let t0 = traj_of ~g ~algorithm ~space ~explorer ~label ~start:0 in
+      Array.for_all
+        (fun phi ->
+          traj_of ~g ~algorithm ~space ~explorer ~label ~start:phi.(0) = Traj.image phi t0)
+        autos)
+    (List.init space (fun l -> l + 1))
+
+(* The verdict [certify] reaches from single executions equals the
+   per-label oracle on every graph of Sym_families.spec_graphs, with
+   every explorer form that applies to it, under Cheap, Fast, FWR(2) and
+   cheap-sim. *)
+let test_certify_matches_images () =
+  let space = 4 in
+  let verdicts = ref [] in
   List.iter
-    (fun (fam, g, explorer, certifies) ->
-      let obs = Traj.observations g in
-      let autos = Sym.automorphisms (Sym.detect g) in
+    (fun gs ->
+      let g = gs.Spec.g in
+      let s = Sym.detect g in
       List.iter
-        (fun algorithm ->
-          List.iter
-            (fun label ->
-              let t0 = traj_of ~g ~algorithm ~space ~explorer ~label ~start:0 in
-              let all = ref true in
-              Array.iter
-                (fun phi ->
-                  let start = phi.(0) in
-                  let id =
-                    Printf.sprintf "%s %s l=%d from %d" fam (R.name algorithm) label start
-                  in
-                  let built = traj_of ~g ~algorithm ~space ~explorer ~label ~start in
-                  let streamed =
-                    Traj.same_ports obs ~start
-                      (blocks_of ~algorithm ~space ~explorer ~label ~start)
-                      t0
-                  in
-                  let same_ports =
-                    built.Traj.rounds = t0.Traj.rounds
-                    && List.for_all
-                         (fun r -> Traj.port_at built r = Traj.port_at t0 r)
-                         (List.init (t0.Traj.rounds + 2) Fun.id)
-                  in
-                  Alcotest.(check bool) id same_ports streamed;
-                  if not streamed then all := false)
-                autos;
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s l=%d certifies" fam (R.name algorithm) label)
-                certifies !all)
-            [ 1; 5; 16 ])
-        delay_tolerant)
-    families
+        (fun espec ->
+          match Spec.parse_explorer gs espec with
+          | Error _ -> ()
+          | Ok explorer ->
+              let verdict = W.certify ~g s ~explorer in
+              verdicts := ((gs.Spec.spec, espec), verdict) :: !verdicts;
+              List.iter
+                (fun algorithm ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s %s %s" gs.Spec.spec espec (R.name algorithm))
+                    (images_hold ~g ~algorithm ~space ~explorer)
+                    verdict)
+                [ R.Cheap; R.Fast; R.Fwr 2; R.Cheap_simultaneous ])
+        Sym_families.explorer_specs)
+    (Sym_families.spec_graphs ());
+  (* Both outcomes occur: the Hamiltonian-cycle walks on the torus and
+     the 4-cube follow node identities and fall back. *)
+  let verdict key = List.assoc key !verdicts in
+  Alcotest.(check bool) "ring:16 ring certifies" true (verdict ("ring:16", "ring"));
+  Alcotest.(check bool) "torus:3x4 euler certifies" true (verdict ("torus:3x4", "euler"));
+  Alcotest.(check bool) "torus:3x4 ham falls back" false (verdict ("torus:3x4", "ham"));
+  Alcotest.(check bool) "hypercube:4 ham falls back" false (verdict ("hypercube:4", "ham"))
+
+(* [certify] checks first executions only, so it rests on the explorer
+   contract: a family whose later executions depend on the start it was
+   built for certifies, and yet its walks are no images.
+   Bounds.verify_repeated rejects it (test_explore). *)
+let test_certify_rests_on_contract () =
+  let n = 8 in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer = Sym_families.contrary ~n in
+  Alcotest.(check bool) "first executions certify" true
+    (W.certify ~g (Sym.detect g) ~explorer);
+  Alcotest.(check bool) "walks are no images" false
+    (images_hold ~g ~algorithm:R.Fast ~space:4 ~explorer)
+
+(* A family that meets the contract, but whose executions tell odd
+   nodes from even ones when they directly follow another execution:
+   each one walks clockwise, except that one beginning at an odd node
+   with an entry port walks counter-clockwise.  It tracks the agent's
+   position on the oriented ring, as the map-based families do. *)
+let parity ~n ~start =
+  let at = ref start in
+  Ex.make ~name:"parity" ~bound:(n - 1) ~fresh:(fun () ->
+      let port = ref (-1) in
+      fun (o : Ex.observation) ->
+        if !port < 0 then port := if o.Ex.entry <> None && !at mod 2 = 1 then 1 else 0;
+        at := if !port = 0 then (!at + 1) mod n else (!at + n - 1) mod n;
+        Ex.move !port)
+
+(* [certify] checks every first observation an execution can begin
+   with, whatever the algorithm: Fast runs executions back to back, and
+   the parity family's walks are then no images, while Cheap separates
+   its two executions by a pause, where they are. *)
+let test_certify_checks_entry_ports () =
+  let n = 8 in
+  let g = Rv_graph.Ring.oriented n in
+  let explorer = parity ~n in
+  Alcotest.(check bool) "meets the contract" true
+    (Rv_explore.Bounds.verify_repeated g ~make:explorer ~executions:3 = Ok ());
+  Alcotest.(check bool) "rejected" false (W.certify ~g (Sym.detect g) ~explorer);
+  Alcotest.(check bool) "Fast: no images" false
+    (images_hold ~g ~algorithm:R.Fast ~space:4 ~explorer);
+  Alcotest.(check bool) "Cheap: images" true
+    (images_hold ~g ~algorithm:R.Cheap ~space:4 ~explorer)
 
 let always p (_ : Ex.observation) = Ex.Move p
 
-let test_same_ports_crafted () =
+let test_execution_helpers_crafted () =
   let g = Rv_graph.Ring.oriented 6 in
   let obs = Traj.observations g in
-  let check id expect blocks t =
-    Alcotest.(check bool) id expect (Traj.same_ports obs ~start:1 blocks t)
+  let takes id expect ?(entry = None) step ports =
+    Alcotest.(check bool) id expect (Traj.takes_ports obs ~node:1 ~entry step ports)
   in
-  let clockwise = Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 4) ] in
-  check "same walk" true [ Traj.Run (always 0, 4) ] clockwise;
-  check "turns back in the final round only" false
-    [ Traj.Run (scripted [ Ex.Move 0; Ex.Move 0; Ex.Move 0; Ex.Move 1 ], 4) ]
+  let clockwise = Traj.execution_ports obs ~node:0 ~entry:None (always 0) ~rounds:4 in
+  Alcotest.(check (array int)) "records the ports" [| 0; 0; 0; 0 |] clockwise;
+  Alcotest.(check (array int)) "as of_blocks stores them" clockwise
+    (Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 4) ]).Traj.port;
+  takes "same execution" true (always 0) clockwise;
+  takes "turns back in the final round only" false
+    (scripted [ Ex.Move 0; Ex.Move 0; Ex.Move 0; Ex.Move 1 ])
     clockwise;
-  check "one round longer" false [ Traj.Run (always 0, 5) ] clockwise;
-  check "pauses where the walk moves" false
-    [ Traj.Run (always 0, 2); Traj.Still 2 ]
+  takes "waits in the final round only" false
+    (scripted [ Ex.Move 0; Ex.Move 0; Ex.Move 0; Ex.Wait ])
     clockwise;
-  check "moves where the walk pauses" false [ Traj.Run (always 0, 4) ]
-    (Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 2); Traj.Still 2 ]);
-  (* Turns back unless it just entered through a port: after a pause
-     there is no entry port, so it turns back — in both walkers. *)
-  let turn_back_fresh (o : Ex.observation) =
-    match o.Ex.entry with None -> Ex.Move 1 | Some _ -> Ex.Move 0
+  takes "no rounds" true (always 5) [||];
+  (* The stepper sees the given entry on its first step, and what its own
+     moves and waits leave after that. *)
+  let seen = ref [] in
+  let logging actions =
+    let next = scripted actions in
+    fun (o : Ex.observation) ->
+      seen := o.Ex.entry :: !seen;
+      next o
   in
-  let paused next = [ Traj.Run (always 0, 2); Traj.Still 2; Traj.Run (next, 1) ] in
-  let ahead = Traj.of_blocks ~g ~start:0 (paused (always 0)) in
-  let back = Traj.of_blocks ~g ~start:0 (paused turn_back_fresh) in
-  check "diverges after the pause" false (paused turn_back_fresh) ahead;
-  check "pause resets the entry port alike" true (paused turn_back_fresh) back;
-  (* An invalid port raises exactly what of_blocks raises. *)
+  let ports =
+    Traj.execution_ports obs ~node:2 ~entry:(Some 1)
+      (logging [ Ex.Move 0; Ex.Wait; Ex.Move 1 ])
+      ~rounds:3
+  in
+  Alcotest.(check (array int)) "ports" [| 0; -1; 1 |] ports;
+  Alcotest.(check (list (option int))) "entries seen" [ Some 1; Some 1; None ] (List.rev !seen);
+  seen := [];
+  takes ~entry:(Some 0) "takes, from an entry" true (logging [ Ex.Move 0; Ex.Wait ]) [| 0; -1 |];
+  Alcotest.(check (list (option int))) "takes sees the entry" [ Some 0; Some 1 ] (List.rev !seen);
+  (* An execution directly after another one sees the entry port its
+     last move left, in of_blocks as in the helpers. *)
+  let turn_back (o : Ex.observation) =
+    match o.Ex.entry with None -> Ex.Move 0 | Some q -> Ex.Move q
+  in
+  let adjacent = Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 1); Traj.Run (turn_back, 3) ] in
+  Alcotest.(check (array int)) "adjacent execution in of_blocks"
+    (Array.sub adjacent.Traj.port 1 3)
+    (Traj.execution_ports obs ~node:1 ~entry:(Some 1) turn_back ~rounds:3);
+  takes ~entry:(Some 1) "entry port changes the walk" false turn_back clockwise;
+  (* An invalid port raises exactly what of_blocks raises; so does an
+     entry port the node does not have. *)
   let raised f = match f () with _ -> None | exception Invalid_argument m -> Some m in
-  let bad = [ Traj.Run (always 5, 1) ] in
-  let one = Traj.of_blocks ~g ~start:0 [ Traj.Run (always 0, 1) ] in
-  let from_build = raised (fun () -> ignore (Traj.of_blocks ~g ~start:1 bad)) in
+  let from_build = raised (fun () -> ignore (Traj.of_blocks ~g ~start:1 [ Traj.Run (always 5, 1) ])) in
   Alcotest.(check bool) "of_blocks raises" true (Option.is_some from_build);
   Alcotest.(check (option string))
-    "same Invalid_argument" from_build
-    (raised (fun () -> ignore (Traj.same_ports obs ~start:1 bad one)))
+    "execution_ports: same Invalid_argument" from_build
+    (raised (fun () ->
+         ignore (Traj.execution_ports obs ~node:1 ~entry:None (always 5) ~rounds:1)));
+  Alcotest.(check (option string))
+    "takes_ports: same Invalid_argument" from_build
+    (raised (fun () ->
+         ignore (Traj.takes_ports obs ~node:1 ~entry:None (always 5) [| 0 |])));
+  Alcotest.(check bool) "entry port out of range" true
+    (Option.is_some
+       (raised (fun () ->
+            ignore (Traj.takes_ports obs ~node:1 ~entry:(Some 2) (always 0) [| 0 |]))))
 
 (* ------------------------------------------------------- cache accounting *)
 
@@ -732,10 +802,13 @@ let () =
           tc "meeting at the wake boundary" test_meeting_at_wake_boundary;
           tc "image == of_blocks from phi(0) (4 families x 3 algorithms)"
             test_image_matches_of_blocks;
-          tc "same_ports == build and compare (certifying + ham torus)"
-            test_same_ports_agrees_with_builds;
-          tc "same_ports on crafted walks (last round, pause, invalid port)"
-            test_same_ports_crafted;
+          tc "certify == per-label images (7 graphs x every explorer form)"
+            test_certify_matches_images;
+          tc "certify rests on the explorer contract" test_certify_rests_on_contract;
+          tc "certify checks executions begun with an entry port"
+            test_certify_checks_entry_ports;
+          tc "execution helpers on crafted walks (last round, entry, invalid port)"
+            test_execution_helpers_crafted;
           tc "of_blocks == of_schedule (-sim algorithms, dfs-nr)"
             (test_of_blocks_matches_of_schedule widened);
           tc "meet == Sim.run (-sim algorithms, dfs-nr)" (test_meet_matches_sim_run widened);
