@@ -2,10 +2,11 @@
 
     A sink consumes {!Record.t} values one at a time.  All sinks are
     thread-safe (a mutex per sink), but the engine's wiring never relies
-    on that for ordering: {!Sweep} merges task results in index order on
-    the calling domain, and [Workload.worst_for] emits records during
-    that merge — so the byte stream written by a JSONL or CSV sink is
-    identical for any [--jobs] value.  A JSONL or CSV sink renders each
+    on that for ordering: {!Sweep} returns task results in index order,
+    and [Workload.worst_for] emits records while it merges them on the
+    calling domain, replaying each label pair's outcome table with no
+    record list in between — so the byte stream written by a JSONL or
+    CSV sink is identical for any [--jobs] value.  A JSONL or CSV sink renders each
     record into a buffer it owns, under its mutex, and builds no
     per-record string. *)
 

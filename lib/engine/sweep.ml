@@ -62,10 +62,3 @@ let map_nested ?pool ?chunk counts f =
       f o (k - off.(o)))
   in
   Array.init outers (fun o -> Array.sub flat off.(o) counts.(o))
-
-let map_reduce ?pool ?chunk ~n ~map ~merge ~init () =
-  Array.fold_left merge init (map_array ?pool ?chunk n map)
-
-let map_list ?pool ?chunk xs ~f =
-  let arr = Array.of_list xs in
-  Array.to_list (map_array ?pool ?chunk (Array.length arr) (fun i -> f arr.(i)))

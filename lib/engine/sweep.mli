@@ -1,13 +1,14 @@
-(** Deterministic parallel map-reduce over an index space.
+(** Deterministic parallel maps over an index space.
 
     The engine's central guarantee: results are {e bit-for-bit identical}
     to a sequential run, for any pool size.  The mechanism is standard —
-    [map] runs on whatever domain claims the index, each result lands in
-    its own slot, and the reduction folds the slots in task-index order
-    [0, 1, 2, ...] on the calling domain.  Since [merge] is applied in
-    the same order with the same operands either way, parallelism is
-    unobservable in the result (provided [map] itself is a pure function
-    of its index, which every rendezvous simulation is: graphs are
+    each task runs on whatever domain claims its index, its result lands
+    in its own slot, and the caller folds the slots in task-index order
+    [0, 1, 2, ...] on the calling domain ([Workload.worst_for] folds the
+    {!map_nested} slots of each label pair this way).  Since the fold
+    sees the same operands in the same order either way, parallelism is
+    unobservable in the result (provided each task is a pure function of
+    its index, which every rendezvous simulation is: graphs are
     immutable and explorer state is created fresh per run).
 
     When [pool] is absent, or has [jobs = 1], everything runs inline in
@@ -29,21 +30,3 @@ val map_nested :
     representative cells into subtasks without making the decomposition
     (or the result) depend on the pool size — the subtask space is a
     pure function of [counts]. *)
-
-val map_reduce :
-  ?pool:Pool.t ->
-  ?chunk:int ->
-  n:int ->
-  map:(int -> 'a) ->
-  merge:('b -> 'a -> 'b) ->
-  init:'b ->
-  unit ->
-  'b
-(** [map_reduce ~n ~map ~merge ~init ()] is
-    [merge (... (merge (merge init (map 0)) (map 1)) ...) (map (n-1))]:
-    a left fold of [merge] over the mapped results in index order.
-    [merge] need not be associative or commutative — it is only ever
-    applied on the calling domain, in order. *)
-
-val map_list : ?pool:Pool.t -> ?chunk:int -> 'a list -> f:('a -> 'b) -> 'b list
-(** [map_list xs ~f] is [List.map f xs] with the maps run on the pool. *)

@@ -172,6 +172,19 @@ let flush_tally t =
   if t.intv_c > 0 then ignore (Atomic.fetch_and_add Stats.interval_cells t.intv_c);
   if t.images > 0 then ignore (Atomic.fetch_and_add Stats.image_trajs t.images)
 
+(* One chunk of a label pair's outcome table: the maxima before its
+   first failing configuration and that configuration's table index (-1
+   when every one met), and, when a sink will replay the table, every
+   configuration's time (the meeting round, or the rounds run when it
+   failed) and cost. *)
+type chunk = {
+  worst_t : int;
+  worst_c : int;
+  failure : int;
+  times : int array;
+  costs : int array;
+}
+
 (* Below this many configurations `Auto keeps the reference simulator.
    Such a sweep finishes in tens of microseconds on either kernel, and
    building its walks can cost more than the few short scans it saves:
@@ -214,8 +227,10 @@ let certify ~g s ~explorer =
 let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     ?graph_spec ~g ~algorithm ~space ~explorer ~pairs ~positions ~delays () =
   (* Positions vary inside the sweep, and map-based explorers need the
-     true start, so the position space is expanded into explicit pairs. *)
-  let expand = expand_positions ~g positions in
+     true start, so the position space is expanded into explicit pairs:
+     a label pair's configuration stream is [stream] in order, delays
+     inner. *)
+  let stream = Array.of_list (expand_positions ~g positions) in
   let graph_spec =
     match graph_spec with
     | Some s -> s
@@ -225,7 +240,7 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   let n = Pg.n g in
   let model_v = match model with None -> Rv_sim.Sim.Waiting | Some m -> m in
   let non_empty = function [] -> false | _ :: _ -> true in
-  let have_work = non_empty pairs && non_empty expand && non_empty delays in
+  let have_work = non_empty pairs && Array.length stream > 0 && non_empty delays in
   (* Trajectory-path eligibility.  Deep-trace runs (per-phase spans need
      the live simulator) keep the reference path, as does
      [~dispatch:`Reference].  The parachute model is served by
@@ -282,16 +297,20 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
   in
   Atomic.set Stats.sym_group group;
   Atomic.set Stats.orbit (match symq with Some s -> Sym.orbit_size s | None -> 1);
-  (* Representative cells per label pair: under a certified reduction the
-     canonical pairs are exactly (0, c) for c in 1..n-1 (free transitive
-     action), 1/orbit of the full ordered-pair space. *)
-  let reps_per_pair =
-    match symq with Some _ -> n - 1 | None -> List.length expand
-  in
+  (* A label pair's cells are the stream's first [cells] positions; its
+     outcome table holds cell k under delay d at k * nd + d, so the table
+     is a prefix of the stream.  Unreduced, the cells are the whole
+     stream.  Under a certified reduction they are the canonical
+     representatives (0, c), c = 1 .. n-1 (free transitive action), 1/orbit
+     of the space, and they lead the `All_pairs order; every other
+     configuration replays its representative's outcome (Sym.canon_pair),
+     which is orbit-invariant.  Either way the table's first failure is
+     the stream's, and coverage up to it is its index + 1. *)
+  let cells = match symq with Some _ -> n - 1 | None -> Array.length stream in
   (* `Auto is a size rule on the configurations actually evaluated.  It
      reads only the inputs, so the kernel split that --stats reports
      does too. *)
-  let configs = List.length pairs * reps_per_pair * List.length delays in
+  let configs = List.length pairs * cells * List.length delays in
   let use_fast =
     traj_allowed
     &&
@@ -318,14 +337,14 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
           Hashtbl.add bounds start b;
           b
     in
-    List.iter
+    Array.iter
       (fun (pa, pb) ->
         if bound_at pa <> bound_at pb then
           invalid_arg "Rendezvous.run: the two agents' explorers declare different bounds E")
-      expand
+      stream
   end;
-  (* Simulate one configuration; returns the outcome fields the sweep
-     consumes.  All paths agree exactly (property-tested in
+  (* Scan one configuration on two walks; returns the outcome fields the
+     sweep consumes.  Every kernel agrees exactly (property-tested in
      test/test_traj.ml for both models, re-asserted at bench time and by
      CI's byte comparisons of rv sweep under RV_NO_TRAJ / RV_NO_SYM). *)
   let scan tally ta tb ~da ~db =
@@ -343,12 +362,28 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
     in
     (m.Rv_sim.Traj.meeting_round, m.Rv_sim.Traj.cost, m.Rv_sim.Traj.rounds_run)
   in
-  let simulate tally ~la ~lb ~pa ~pb ~da ~db =
+  (* One cell's outcome under any delay pair.  On the trajectory kernel
+     its two walks are fetched once, before its delay scans: a cache
+     lookup, or under reduction the image of lb's start-0 walk, derived
+     here and dropped after the scans. *)
+  let cell tally ~la ~lb ~pa ~pb =
     if use_fast then begin
       let ta = Rv_sim.Traj_cache.get cache ~label:la ~start:pa in
-      scan tally ta (Rv_sim.Traj_cache.get cache ~label:lb ~start:pb) ~da ~db
+      let tb =
+        match symq with
+        | None -> Rv_sim.Traj_cache.get cache ~label:lb ~start:pb
+        | Some s ->
+            tally.images <- tally.images + 1;
+            Rv_obs.Obs.span ~cat:"traj"
+              ~args:[ ("label", Rv_obs.Json.Int lb); ("start", Rv_obs.Json.Int pb) ]
+              "traj.build"
+              (fun () ->
+                Rv_sim.Traj.image (Sym.from_zero s pb)
+                  (Rv_sim.Traj_cache.get cache ~label:lb ~start:0))
+      in
+      scan tally ta tb
     end
-    else begin
+    else fun ~da ~db ->
       tally.ref_c <- tally.ref_c + 1;
       let out =
         R.run ?model ~g ~explorer ~algorithm ~space
@@ -356,208 +391,125 @@ let worst_for ?model ?(dispatch = `Auto) ?(sym = true) ?pool ?sink ?progress
           { R.label = lb; start = pb; delay = db }
       in
       (out.Rv_sim.Sim.meeting_round, out.Rv_sim.Sim.cost, out.Rv_sim.Sim.rounds_run)
-    end
   in
   let obs = Rv_obs.Obs.enabled () in
   let pair_arr = Array.of_list pairs in
   let delay_arr = Array.of_list delays in
-  (* Replay one label pair's configuration stream against an outcome
-     lookup, in the exact order the unreduced sweep visits it (positions
-     outer, delays inner, lazily stopped by the first failure), emitting
-     records and folding the worst cell.  The unreduced path passes the
-     live simulator as [outcome_of]; the reduced path passes the
-     representative table — the byte stream is identical either way
-     because every outcome field is orbit-invariant and the failure
-     message embeds the {e actual} starts. *)
-  let replay ~la ~lb ~outcome_of =
-    let worst_t = ref 0 and worst_c = ref 0 in
-    let failure = ref None in
-    let recorded = ref [] in
-    let covered = ref 0 in
-    List.iter
-      (fun (pa, pb) ->
-        Array.iteri
-          (fun d (da, db) ->
-            if Option.is_none !failure then begin
-              let meeting_round, cost, rounds_run = outcome_of ~pa ~pb ~d ~da ~db in
-              incr covered;
-              (match sink with
-              | None -> ()
-              | Some _ ->
-                  let met = Option.is_some meeting_round in
-                  recorded :=
-                    {
-                      Rv_engine.Record.graph = graph_spec;
-                      algorithm = algo_name;
-                      label_a = la;
-                      label_b = lb;
-                      start_a = pa;
-                      start_b = pb;
-                      delay_a = da;
-                      delay_b = db;
-                      met;
-                      time = (match meeting_round with Some t -> t | None -> rounds_run);
-                      cost;
-                    }
-                    :: !recorded);
-              match meeting_round with
-              | Some t ->
-                  worst_t := max !worst_t t;
-                  worst_c := max !worst_c cost;
-                  Option.iter (fun p -> Progress.observe p ~time:t ~cost) progress
-              | None ->
-                  failure :=
-                    Some
-                      (Printf.sprintf
-                         "%s: no rendezvous (labels %d/%d, starts %d/%d, delays %d/%d)"
-                         algo_name la lb pa pb da db)
-            end)
-          delay_arr)
-      expand;
-    Option.iter Progress.tick progress;
-    ignore (Atomic.fetch_and_add Stats.covered !covered);
-    let result =
-      match !failure with None -> Ok (!worst_t, !worst_c) | Some e -> Error e
-    in
-    (result, List.rev !recorded)
-  in
-  let merge outcomes =
-    Array.fold_left
-      (fun acc (result, recorded) ->
-        Option.iter (fun s -> List.iter (Sink.emit s) recorded) sink;
-        match (acc, result) with
-        | Error _, _ -> acc
-        | Ok _, Error e -> Error e
-        | Ok (at, ac), Ok (t, c) -> Ok (max at t, max ac c))
-      (Ok (0, 0)) outcomes
-  in
-  match symq with
-  | None ->
-      (* One task per label pair.  A task touches nothing shared: graphs
-         are immutable, explorer state is created fresh per simulation
-         (and the trajectory cache is domain-local), and the task's
-         records are buffered locally and emitted by the caller during
-         the in-order merge — so the sink's byte stream is identical for
-         any pool size. *)
-      let run_pair (la, lb) =
-        if obs then
-          Rv_obs.Obs.begin_span ~cat:"workload"
-            ~args:[ ("la", Rv_obs.Json.Int la); ("lb", Rv_obs.Json.Int lb) ]
-            "workload.pair";
-        let tally = { ref_c = 0; traj_c = 0; intv_c = 0; images = 0 } in
-        let r =
-          replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d:_ ~da ~db ->
-              simulate tally ~la ~lb ~pa ~pb ~da ~db)
-        in
-        flush_tally tally;
-        if obs then begin
-          Rv_obs.Counter.count "workload.pairs" 1;
-          Rv_obs.Obs.end_span ()
+  let nd = Array.length delay_arr in
+  (* Under reduction every cell of a pair scans the same two start-0
+     walks, so a pair splits into up to 8 chunks that the pool balances
+     (Sweep.map_nested: the decomposition depends only on the cell
+     counts, never on the pool).  An unreduced chunk would need the
+     partner's walk from every start, built again by each domain's
+     cache, so there a pair is one chunk. *)
+  let chunks_per_pair = min (match symq with Some _ -> 8 | None -> 1) cells in
+  let chunk_lo j = (j * (cells / chunks_per_pair)) + min j (cells mod chunks_per_pair) in
+  (* Without a sink a chunk keeps only its fold, no per-configuration
+     state. *)
+  let run_chunk o j =
+    let la, lb = pair_arr.(o) in
+    if obs then
+      Rv_obs.Obs.begin_span ~cat:"workload"
+        ~args:[ ("la", Rv_obs.Json.Int la); ("lb", Rv_obs.Json.Int lb) ]
+        "workload.chunk";
+    let tally = { ref_c = 0; traj_c = 0; intv_c = 0; images = 0 } in
+    let lo = chunk_lo j and hi = chunk_lo (j + 1) in
+    let kept = match sink with Some _ -> (hi - lo) * nd | None -> 0 in
+    let times = Array.make kept 0 and costs = Array.make kept 0 in
+    let worst_t = ref 0 and worst_c = ref 0 and failure = ref (-1) in
+    for k = lo to hi - 1 do
+      let pa, pb = stream.(k) in
+      let outcome = cell tally ~la ~lb ~pa ~pb in
+      for d = 0 to nd - 1 do
+        let da, db = delay_arr.(d) in
+        let meeting_round, cost, rounds_run = outcome ~da ~db in
+        if kept > 0 then begin
+          let at = ((k - lo) * nd) + d in
+          times.(at) <- Option.value meeting_round ~default:rounds_run;
+          costs.(at) <- cost
         end;
-        r
-      in
-      merge
-        (Engine_sweep.map_array ?pool ~chunk:1 (Array.length pair_arr) (fun i ->
-             run_pair pair_arr.(i)))
-  | Some s ->
-      (* Orbit-reduced sweep: simulate only the canonical representatives
-         (0, c) — 1/orbit of the pair space — then replay the full space
-         through the representative table.  Representative cells are
-         computed eagerly (a pair whose replay fails early may therefore
-         simulate cells the lazy unreduced sweep would have skipped —
-         invisible in the output, which stops at the failure exactly like
-         the unreduced stream), and split into deterministic subtasks so
-         the pool balances inside a pair (Sweep.map_nested: the subtask
-         space depends only on the cell counts, never on the pool).
-
-         With no sink, and every representative met, nothing observes the
-         stream itself: each configuration's outcome is a table entry and
-         each entry is some configuration's (every (0, c) is in the space),
-         so the worst cell is the table's, coverage is the full count, and
-         Progress — which only keeps maxima, ticked once per pair — sees
-         the same values folded straight from the table.  A failing pair
-         still replays, so its message names the actual first failure. *)
-      let reps = n - 1 in
-      let nd = Array.length delay_arr in
-      let chunks_per_pair = min 8 reps in
-      let base = reps / chunks_per_pair and extra = reps mod chunks_per_pair in
-      let chunk_lo j = (j * base) + min j extra in
-      let counts = Array.make (Array.length pair_arr) chunks_per_pair in
-      let configs_per_pair = List.length expand * nd in
-      let run_chunk o j =
-        let la, lb = pair_arr.(o) in
-        if obs then
-          Rv_obs.Obs.begin_span ~cat:"workload"
-            ~args:[ ("la", Rv_obs.Json.Int la); ("lb", Rv_obs.Json.Int lb) ]
-            "workload.rep_chunk";
-        let tally = { ref_c = 0; traj_c = 0; intv_c = 0; images = 0 } in
-        let lo = chunk_lo j and hi = chunk_lo (j + 1) in
-        let out = Array.make ((hi - lo) * nd) (None, 0, 0) in
-        for i = lo to hi - 1 do
-          let pb = i + 1 in
-          (* On the trajectory kernel the walk from pb is the image of lb's
-             start-0 walk, derived here and dropped after its delay scans. *)
-          let cell =
-            if not use_fast then simulate tally ~la ~lb ~pa:0 ~pb
-            else begin
-              let tb =
-                Rv_obs.Obs.span ~cat:"traj"
-                  ~args:[ ("label", Rv_obs.Json.Int lb); ("start", Rv_obs.Json.Int pb) ]
-                  "traj.build"
-                  (fun () ->
-                    Rv_sim.Traj.image (Sym.from_zero s pb)
-                      (Rv_sim.Traj_cache.get cache ~label:lb ~start:0))
-              in
-              tally.images <- tally.images + 1;
-              scan tally (Rv_sim.Traj_cache.get cache ~label:la ~start:0) tb
-            end
-          in
-          for d = 0 to nd - 1 do
-            let da, db = delay_arr.(d) in
-            out.(((i - lo) * nd) + d) <- cell ~da ~db
-          done
-        done;
-        flush_tally tally;
-        if obs then Rv_obs.Obs.end_span ();
-        out
-      in
-      let chunked = Engine_sweep.map_nested ?pool ~chunk:1 counts run_chunk in
-      merge
-        (Array.mapi
-           (fun o per_chunk ->
-             let la, lb = pair_arr.(o) in
-             let table = Array.concat (Array.to_list per_chunk) in
-             let all_met =
-               Array.for_all (fun (meeting_round, _, _) -> Option.is_some meeting_round)
-                 table
-             in
-             let r =
-               if Option.is_none sink && all_met then begin
-                 let worst_t = ref 0 and worst_c = ref 0 in
-                 Array.iter
-                   (fun (meeting_round, cost, _) ->
-                     worst_t := max !worst_t (Option.value meeting_round ~default:0);
-                     worst_c := max !worst_c cost)
-                   table;
-                 Option.iter
-                   (fun p ->
-                     Progress.observe p ~time:!worst_t ~cost:!worst_c;
-                     Progress.tick p)
-                   progress;
-                 ignore (Atomic.fetch_and_add Stats.covered configs_per_pair);
-                 (Ok (!worst_t, !worst_c), [])
-               end
-               else
-                 (* table.((c - 1) * nd + d) is the outcome of representative
-                    (0, c) under delay d; canon_pair maps any (pa, pb) to its
-                    representative in O(1). *)
-                 replay ~la ~lb ~outcome_of:(fun ~pa ~pb ~d ~da:_ ~db:_ ->
-                     let _, c = Sym.canon_pair s pa pb in
-                     table.(((c - 1) * nd) + d))
-             in
-             if obs then Rv_obs.Counter.count "workload.pairs" 1;
-             r)
-           chunked)
+        if !failure < 0 then
+          match meeting_round with
+          | Some t ->
+              worst_t := max !worst_t t;
+              worst_c := max !worst_c cost
+          | None -> failure := (k * nd) + d
+      done
+    done;
+    flush_tally tally;
+    if obs then Rv_obs.Obs.end_span ();
+    { worst_t = !worst_t; worst_c = !worst_c; failure = !failure; times; costs }
+  in
+  (* Fold one pair's chunks in order: the pair fails at its first failing
+     chunk's failure, and its maxima run up to it. *)
+  let merge_pair o chunks =
+    let la, lb = pair_arr.(o) in
+    let worst_t = ref 0 and worst_c = ref 0 and failure = ref (-1) in
+    Array.iter
+      (fun c ->
+        if !failure < 0 then begin
+          worst_t := max !worst_t c.worst_t;
+          worst_c := max !worst_c c.worst_c;
+          failure := c.failure
+        end)
+      chunks;
+    let failure = !failure in
+    let covered = if failure < 0 then Array.length stream * nd else failure + 1 in
+    Option.iter
+      (fun p ->
+        Progress.observe p ~time:!worst_t ~cost:!worst_c;
+        Progress.tick p)
+      progress;
+    ignore (Atomic.fetch_and_add Stats.covered covered);
+    (* The sink replays the stream up to [covered], each configuration's
+       outcome read from its cell's table entry. *)
+    Option.iter
+      (fun s ->
+        let table f = Array.concat (Array.to_list (Array.map f chunks)) in
+        let times = table (fun c -> c.times) and costs = table (fun c -> c.costs) in
+        for j = 0 to covered - 1 do
+          let i = j / nd and d = j mod nd in
+          let pa, pb = stream.(i) in
+          let k = match symq with Some q -> snd (Sym.canon_pair q pa pb) - 1 | None -> i in
+          let da, db = delay_arr.(d) in
+          Sink.emit s
+            {
+              Rv_engine.Record.graph = graph_spec;
+              algorithm = algo_name;
+              label_a = la;
+              label_b = lb;
+              start_a = pa;
+              start_b = pb;
+              delay_a = da;
+              delay_b = db;
+              met = j <> failure;
+              time = times.((k * nd) + d);
+              cost = costs.((k * nd) + d);
+            }
+        done)
+      sink;
+    if obs then Rv_obs.Counter.count "workload.pairs" 1;
+    if failure < 0 then Ok (!worst_t, !worst_c)
+    else
+      let pa, pb = stream.(failure / nd) and da, db = delay_arr.(failure mod nd) in
+      Error
+        (Printf.sprintf "%s: no rendezvous (labels %d/%d, starts %d/%d, delays %d/%d)"
+           algo_name la lb pa pb da db)
+  in
+  let chunked =
+    Engine_sweep.map_nested ?pool ~chunk:1
+      (Array.make (Array.length pair_arr) chunks_per_pair)
+      run_chunk
+  in
+  let result = ref (Ok (0, 0)) in
+  Array.iteri
+    (fun o chunks ->
+      match (!result, merge_pair o chunks) with
+      | Error _, _ -> ()
+      | Ok _, (Error _ as e) -> result := e
+      | Ok (at, ac), Ok (t, c) -> result := Ok (max at t, max ac c))
+    chunked;
+  !result
 
 let ring_delays ~e =
   let ds = List.sort_uniq Int.compare [ 0; 1; e / 2; e; e + 1 ] in

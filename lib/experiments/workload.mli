@@ -130,6 +130,18 @@ val worst_for :
     variable: [rv sweep] maps [RV_NO_TRAJ] to [~dispatch:`Reference] and
     [RV_NO_SYM] to [~sym:false], and CI compares its byte streams.
 
+    {b One executor.}  A label pair's configuration stream is its
+    position pairs in order, delays inner, up to and including its first
+    failure.  Every sweep evaluates a table of the pair's {e cells} under
+    every delay: the whole stream's position pairs, or under the
+    symmetry reduction below only the representatives.  The cells are
+    the stream's first position pairs, so the table is a prefix of the
+    stream, and the table's first failure is the stream's.  Every cell
+    is evaluated, so a failing pair's cells past its first failure are
+    evaluated too, although the stream stops there.  On the trajectory
+    kernel a cell's two walks are fetched once and scanned under every
+    delay.
+
     {b Symmetry reduction.}  When [positions] is [`All_pairs] and [sym]
     is [true] (the default), the sweep detects the graph's port-preserving
     automorphism group ({!Rv_graph.Symmetry}), certifies that the walk
@@ -137,20 +149,16 @@ val worst_for :
     node identities rather than observations fail there and fall back to
     the unreduced sweep), and then evaluates only the canonical
     representative [(0, c)] of each position-pair orbit —
-    [1/orbit_size] of the space — replaying the full configuration
-    stream through the representative table.  Each label's walk is
-    stepped once, from start 0, into the sweep's one trajectory cache,
-    under its memory budget; the walk from [c] is its image under the
-    automorphism sending 0 to [c] ({!Rv_sim.Traj.image}), derived just
-    before representative [(0, c)]'s delay scans and dropped after them,
-    so images never enter the cache.  Without a [sink],
-    and when every representative met, the worst cell, [progress] and
-    {!Stats} coverage are folded straight from the table instead.  The
-    output — worst cell and every sink byte — is identical to the
-    unreduced sweep ([~sym:false]; CI byte-compares the two); the only
-    observable difference is eagerness: a failing pair's
-    representatives are all evaluated even though the replayed stream
-    stops at the failure.  The reduction requires [explorer] to meet
+    [1/orbit_size] of the space.  These lead the [`All_pairs] order, and
+    every other configuration's outcome is its representative's.  Each
+    label's walk is stepped once, from start 0, into the sweep's one
+    trajectory cache, under its memory budget; the walk from [c] is its
+    image under the automorphism sending 0 to [c]
+    ({!Rv_sim.Traj.image}), derived just before representative
+    [(0, c)]'s delay scans and dropped after them, so images never enter
+    the cache.  The output — worst cell and every sink byte — is
+    identical to the unreduced sweep ([~sym:false]; CI byte-compares the
+    two).  The reduction requires [explorer] to meet
     {!Rv_explore.Explorer}'s contract (see {!certify}); a family that
     acts on the start it was built for, or on its earlier executions,
     beyond the node where an execution begins can certify and still
@@ -158,16 +166,24 @@ val worst_for :
     [`Fixed_first] is never reduced — under a free transitive action it
     is already an orbit transversal of the [(0, i)] pairs.
 
-    [pool] parallelizes over label pairs (one task per pair; under
-    reduction, deterministic per-pair subtasks via
-    {!Rv_engine.Sweep.map_nested}); results — including the byte stream
-    written to [sink] — are bit-for-bit identical to the sequential run
-    because outcomes are merged in pair order on the calling domain (see
-    {!Rv_engine.Sweep}).  [sink] receives one {!Rv_engine.Record.t} per
-    covered configuration, tagged with [graph_spec] (default:
-    ["n=<nodes>"]).  [progress] counters: one {!Rv_engine.Progress.tick}
-    per pair, one [observe] per meeting.  Cell counts, cache traffic and
-    the symmetry outcome are reported through {!Stats} and
+    [pool] runs the tables as {!Rv_engine.Sweep.map_nested} chunk
+    tasks: a pair is one chunk, or under reduction up to 8 chunks of its
+    representatives.  The decomposition depends only on the inputs.  The
+    calling domain then merges the pairs in order (see
+    {!Rv_engine.Sweep}), so results — including the byte stream written
+    to [sink] — are bit-for-bit identical to the sequential run.
+    Without a [sink] a chunk returns only its fold (the maxima before
+    its first failure, and that failure), so the sweep keeps no
+    per-configuration state.  With one, a chunk also keeps each
+    configuration's time and cost, and the merge replays each pair's
+    stream from its table straight into {!Rv_engine.Sink.emit}: one
+    {!Rv_engine.Record.t} per covered configuration, tagged with
+    [graph_spec] (default: ["n=<nodes>"]), no record list.  Every pair's
+    stream reaches the sink, up to its own first failure, even past the
+    first pair that fails.  [progress] counters: one
+    {!Rv_engine.Progress.tick} and one [observe] of the pair's maxima
+    per pair, at the merge.  Cell counts, cache traffic and the symmetry
+    outcome are reported through {!Stats} and
     {!Rv_sim.Traj_cache.stats}. *)
 
 val ring_delays : e:int -> (int * int) list

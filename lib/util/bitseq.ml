@@ -46,8 +46,6 @@ let compare_lex a b =
   in
   go 0
 
-let concat = Array.append
-
 let append_bits bits extra = Array.append bits (Array.of_list extra)
 
 let double_each bits =

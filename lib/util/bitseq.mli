@@ -31,8 +31,6 @@ val compare_lex : t -> t -> int
 (** Lexicographic comparison; on equal-length strings this is numeric
     comparison. Shorter strings that are prefixes compare smaller. *)
 
-val concat : t -> t -> t
-
 val append_bits : t -> bool list -> t
 
 val double_each : t -> t

@@ -12,7 +12,6 @@ let int = Int.compare
 let float = Float.compare
 let string = String.compare
 let bool = Bool.compare
-let char = Char.compare
 
 let pair ca cb (a1, b1) (a2, b2) =
   let c = ca a1 a2 in

@@ -5,7 +5,6 @@ val int : int -> int -> int
 val float : float -> float -> int
 val string : string -> string -> int
 val bool : bool -> bool -> int
-val char : char -> char -> int
 
 val pair : ('a -> 'a -> int) -> ('b -> 'b -> int) -> 'a * 'b -> 'a * 'b -> int
 (** Lexicographic. *)

@@ -1,5 +1,5 @@
 (* Tests for rv_engine: the domain pool's lifecycle and scheduling, the
-   deterministic map-reduce, JSONL/CSV record round-trips, the sinks, and
+   deterministic nested map, JSONL/CSV record round-trips, the sinks, and
    — the guarantee everything else leans on — parallel Workload.worst_for
    being bit-for-bit equal to sequential across graph families and
    algorithms, including the streamed record order. *)
@@ -62,20 +62,29 @@ let test_pool_propagates_exception () =
 
 (* ----------------------------------------------------------------- Sweep *)
 
-let test_map_reduce_matches_sequential () =
-  let n = 57 in
-  let map i = (i * 7919) mod 101 in
-  (* A deliberately non-commutative merge: order differences would show. *)
-  let merge acc v = (acc * 31) + v in
-  let expected = Sweep.map_reduce ~n ~map ~merge ~init:17 () in
+(* The sweep's one decomposition: ragged outer counts, zeros included,
+   flattened onto one task space.  A 4-domain pool must return the
+   sequential shape and values, and a deliberately non-commutative fold
+   over them in (outer, inner) order must agree: order differences
+   would show. *)
+let test_map_nested_matches_sequential () =
+  let counts = [| 0; 3; 1; 0; 0; 8; 2; 0; 5 |] in
+  let f o i = ((o * 7919) + (i * 104729)) mod 101 in
+  let fold cells =
+    Array.fold_left (Array.fold_left (fun acc v -> (acc * 31) + v)) 17 cells
+  in
+  let seq = Sweep.map_nested counts f in
+  Alcotest.(check (array int)) "shape" counts (Array.map Array.length seq);
+  Array.iteri
+    (fun o row ->
+      Array.iteri (fun i v -> Alcotest.(check int) (Printf.sprintf "cell %d.%d" o i) (f o i) v) row)
+    seq;
   Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check int) "parallel fold equals sequential" expected
-        (Sweep.map_reduce ~pool ~n ~map ~merge ~init:17 ()))
-
-let test_map_list () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (list int)) "map_list" [ 2; 4; 6; 8 ]
-        (Sweep.map_list ~pool [ 1; 2; 3; 4 ] ~f:(fun x -> 2 * x)))
+      let par = Sweep.map_nested ~pool ~chunk:1 counts f in
+      Alcotest.(check (array (array int))) "parallel cells equal sequential" seq par;
+      Alcotest.(check int) "parallel fold equals sequential" (fold seq) (fold par));
+  Alcotest.(check (array (array int))) "all outers empty" [| [||]; [||] |]
+    (Sweep.map_nested [| 0; 0 |] f)
 
 (* -------------------------------------------------------------- Progress *)
 
@@ -541,8 +550,7 @@ let () =
         ] );
       ( "sweep",
         [
-          tc "map_reduce matches sequential" test_map_reduce_matches_sequential;
-          tc "map_list" test_map_list;
+          tc "map_nested matches sequential" test_map_nested_matches_sequential;
         ] );
       ( "progress",
         [

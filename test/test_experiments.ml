@@ -106,19 +106,72 @@ let test_sampled_delays () =
   Alcotest.check delays "simultaneous start only" [ (0, 0) ]
     (W.sampled_delays R.Cheap_simultaneous ~max_delay:2)
 
+(* A failing sweep is exact whatever the reduction, kernel or pool: the
+   Error names the stream's first failure, every pair's coverage counts
+   up to its own first failure, and the sink gets every pair's records
+   up to there.  Ring:6, Fast, L=4, pairs (1,2) and (2,3), delays (0,0)
+   and (0,3), with degenerate explorers that force the error path.  An
+   idle family certifies and misses at each pair's first configuration.
+   Clockwise walkers from nodes 0-2 and idle ones from 3-5 fail
+   certification, and both idle agents first miss at starts 3/4, the
+   19th position pair: 37 configurations per pair. *)
 let test_worst_for_flags_failure () =
   let n = 6 in
   let g = Rv_graph.Ring.oriented n in
-  (* A simultaneous-only algorithm driven with a delay beyond its schedule
-     can fail to meet; use two idle schedules via a degenerate explorer to
-     force the error path instead. *)
-  let explorer ~start = ignore start; Rv_explore.Explorer.idle ~bound:(n - 1) in
-  match
-    W.worst_for ~g ~algorithm:R.Fast ~space:4 ~explorer ~pairs:[ (1, 2) ]
-      ~positions:`Fixed_first ~delays:[ (0, 0) ] ()
-  with
+  let idle ~start:_ = Rv_explore.Explorer.idle ~bound:(n - 1) in
+  (match
+     W.worst_for ~g ~algorithm:R.Fast ~space:4 ~explorer:idle ~pairs:[ (1, 2) ]
+       ~positions:`Fixed_first ~delays:[ (0, 0) ] ()
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "idle explorer cannot rendezvous"
+  | Ok _ -> Alcotest.fail "idle explorer cannot rendezvous");
+  let half ~start =
+    if start < 3 then Rv_explore.Ring_walk.clockwise ~n
+    else Rv_explore.Explorer.idle ~bound:(n - 1)
+  in
+  let sweep ?pool ~sym ~dispatch ~sunk explorer =
+    W.Stats.reset ();
+    let sink = if sunk then Some (Rv_engine.Sink.memory ()) else None in
+    let r =
+      W.worst_for ?pool ~sym ~dispatch ?sink ~g ~algorithm:R.Fast ~space:4 ~explorer
+        ~pairs:[ (1, 2); (2, 3) ] ~positions:`All_pairs ~delays:[ (0, 0); (0, 3) ] ()
+    in
+    let st = W.Stats.snapshot () in
+    (r, st.W.Stats.covered, st.W.Stats.sym_group,
+     Option.fold ~none:[] ~some:Rv_engine.Sink.records sink)
+  in
+  let case name explorer ~starts ~covered ~group =
+    let expected =
+      Error (Printf.sprintf "fast: no rendezvous (labels 1/2, starts %s, delays 0/0)" starts)
+    in
+    let _, _, _, records = sweep ~sym:false ~dispatch:`Reference ~sunk:true explorer in
+    Alcotest.(check int) (name ^ ": records") covered (List.length records);
+    Rv_engine.Pool.with_pool ~jobs:2 (fun pool ->
+        List.iter
+          (fun (sym, dispatch, pool, sunk) ->
+            let id =
+              Printf.sprintf "%s: sym %b, %s, %d domains, sink %b" name sym
+                (match dispatch with `Fast -> "fast" | `Reference -> "reference" | `Auto -> "auto")
+                (if Option.is_some pool then 2 else 1)
+                sunk
+            in
+            let r, c, grp, recs = sweep ?pool ~sym ~dispatch ~sunk explorer in
+            Alcotest.(check (result (pair int int) string)) (id ^ " error") expected r;
+            Alcotest.(check int) (id ^ " covered") covered c;
+            Alcotest.(check string) (id ^ " group") (if sym then group else "off") grp;
+            if sunk then Alcotest.(check bool) (id ^ " records") true (recs = records))
+          (List.concat_map
+             (fun sym ->
+               List.concat_map
+                 (fun dispatch ->
+                   List.concat_map
+                     (fun pool -> [ (sym, dispatch, pool, true); (sym, dispatch, pool, false) ])
+                     [ None; Some pool ])
+                 [ (`Fast : W.dispatch); `Reference ])
+             [ true; false ]))
+  in
+  case "idle" idle ~starts:"0/1" ~covered:2 ~group:"order-6";
+  case "half idle" half ~starts:"3/4" ~covered:74 ~group:"order-6/uncertified"
 
 (* Both agents must run an EXPLORE with the same bound E.  An explorer
    whose bound depends on its start breaks that for some position pairs,
