@@ -29,6 +29,11 @@ let or_die = function
       prerr_endline ("rv: " ^ msg);
       exit 1
 
+(* A numeric flag below the smallest value its command accepts is a
+   usage error, worded as [rv bake] words its lattice bounds. *)
+let at_least name ~min v =
+  if v < min then or_die (Error (Printf.sprintf "%s: %d is below the minimum %d" name v min))
+
 (* Shared argument definitions. *)
 
 let graph_arg =
@@ -318,6 +323,10 @@ let sweep_stats_report () =
 let sweep_cmd =
   let sweep graph explorer algo space max_pairs max_delay all_pairs jobs jsonl csv stats
       metrics =
+    (* The bounds the wire protocol and [rv bake] enforce. *)
+    at_least "space" ~min:2 space;
+    at_least "pairs" ~min:1 max_pairs;
+    at_least "max-delay" ~min:0 max_delay;
     let gs, ex, algorithm = parse_common ~graph ~explorer ~algo in
     let e = Rv_experiments.Workload.e_of ex in
     let delays = Rv_experiments.Workload.sampled_delays algorithm ~max_delay in
@@ -472,6 +481,18 @@ let explore_cmd =
 
 let lb_cmd =
   let lb n space which algo =
+    (* Each pipeline walks the oriented ring clockwise, which needs n >= 3;
+       Theorem 3.2's pipeline also cuts the ring into six blocks. *)
+    let pipeline =
+      match which with
+      | "cheap" -> `Cheap
+      | "fast" -> `Fast
+      | other -> or_die (Error ("unknown pipeline " ^ other ^ " (use cheap | fast)"))
+    in
+    at_least "n" ~min:3 n;
+    if pipeline = `Fast && n mod 6 <> 0 then
+      or_die (Error (Printf.sprintf "n: the fast pipeline needs 6 | n, not %d" n));
+    at_least "space" ~min:2 space;
     let vectors =
       match algo with
       | "" -> None
@@ -479,8 +500,8 @@ let lb_cmd =
           let a = or_die (Spec.parse_algorithm spec) in
           Some (Rv_lowerbound.Theorem_cheap.vectors_of ~n ~space a)
     in
-    match which with
-    | "cheap" -> (
+    match pipeline with
+    | `Cheap -> (
         let vectors =
           match vectors with
           | Some v -> v
@@ -507,7 +528,7 @@ let lb_cmd =
                 Printf.printf "    alpha_%d: labels (%d,%d) meet at round %d\n" s.index
                   s.first s.second s.duration)
               r.chain)
-    | "fast" -> (
+    | `Fast -> (
         let vectors =
           match vectors with
           | Some v -> v
@@ -532,11 +553,8 @@ let lb_cmd =
                   "    label %3d: m_x=%5d block=%3d nonzero=%3d implied>=%4d solo cost=%5d\n"
                   a.label a.m_x a.block a.nonzero a.implied_cost a.solo_cost)
               r.agents)
-    | other ->
-        prerr_endline ("rv: unknown pipeline " ^ other ^ " (use cheap | fast)");
-        exit 1
   in
-  let n = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Ring size (6 | n for fast).") in
+  let n = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Ring size (n >= 3; 6 | n for fast).") in
   let which =
     Arg.(value & pos 0 string "cheap" & info [] ~docv:"PIPELINE" ~doc:"cheap | fast")
   in

@@ -24,7 +24,7 @@ let () =
     match
       Rv_explore.Uxs.construct
         ~corpus:(Rv_explore.Uxs.default_corpus ~size_bound)
-        ~size_bound ~seed:99 ()
+        ~size_bound ~seed:99
     with
     | Ok u -> u
     | Error e -> failwith e

@@ -11,9 +11,6 @@
     Determinism of the {e implementation} is preserved: walks are seeded,
     so experiments and tests are reproducible. *)
 
-val instance : seed:int -> Rv_explore.Explorer.instance
-(** A stateful stepper performing the seeded uniform random walk. *)
-
 val measure :
   g:Rv_graph.Port_graph.t ->
   start_a:int ->

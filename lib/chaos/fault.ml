@@ -53,7 +53,10 @@ let send_partial fd line ~keep =
   let b = Bytes.of_string (String.sub line 0 keep) in
   Result.map ignore (write_all fd b ~pos:0 ~len:keep)
 
-let recv_line ?(timeout_s = 10.) ?(max_len = 1_048_576) fd =
+(* The longest reply [recv_line] accepts. *)
+let max_reply_len = 1_048_576
+
+let recv_line ?(timeout_s = 10.) fd =
   let b = Buffer.create 256 in
   let one = Bytes.create 1 in
   let deadline = Rv_serve.Clock.now_s () +. timeout_s in
@@ -70,7 +73,7 @@ let recv_line ?(timeout_s = 10.) ?(max_len = 1_048_576) fd =
               match Bytes.get one 0 with
               | '\n' -> Ok (Buffer.contents b)
               | c ->
-                  if Buffer.length b >= max_len then
+                  if Buffer.length b >= max_reply_len then
                     Error "reply exceeds max_len"
                   else begin
                     Buffer.add_char b c;

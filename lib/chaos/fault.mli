@@ -18,11 +18,6 @@ val reset : Unix.file_descr -> unit
 (** Abrupt close: SO_LINGER 0 then close, so the peer sees a TCP RST —
     the "client yanked the cable" disconnect.  Errors ignored. *)
 
-val write_all : Unix.file_descr -> Bytes.t -> pos:int -> len:int -> (int, string) result
-(** Write exactly [len] bytes from [pos], looping over short writes.
-    Returns the byte count written ([len] on success); [Error] carries
-    the failing syscall's message. *)
-
 val send_line : Unix.file_descr -> string -> (unit, string) result
 (** One whole frame: the string plus the terminating newline, in a
     single buffer. *)
@@ -40,14 +35,13 @@ val send_partial : Unix.file_descr -> string -> keep:int -> (unit, string) resul
     sees the partial line at EOF) or {!reset} (RST: the server sees a
     dead socket). *)
 
-val recv_line :
-  ?timeout_s:float -> ?max_len:int -> Unix.file_descr -> (string, string) result
+val recv_line : ?timeout_s:float -> Unix.file_descr -> (string, string) result
 (** Read up to the next newline (excluded), byte at a time, waiting at
     most [timeout_s] (default 10s) for each byte.  [Error "eof"] on a
     clean close before any newline, [Error "timeout"] when the server
-    goes quiet, [Error] with context on socket errors.  [max_len]
-    (default 1MB) bounds hostile replies — this client distrusts the
-    server exactly as much as the server distrusts it. *)
+    goes quiet, [Error] with context on socket errors.  A reply longer
+    than 1MB is an [Error]: this client distrusts the server exactly as
+    much as the server distrusts it. *)
 
 val rpc_line :
   ?timeout_s:float -> Unix.file_descr -> string -> (string, string) result

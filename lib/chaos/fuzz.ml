@@ -6,8 +6,6 @@ module Sched = Rv_core.Schedule
 module Ex = Rv_explore.Explorer
 module Sim = Rv_sim.Sim
 module Traj = Rv_sim.Traj
-module Proto = Rv_serve.Proto
-module Handler = Rv_serve.Handler
 module Json = Rv_obs.Json
 
 type check = Traj_vs_sim | Serve_vs_direct | Sym_on_off
@@ -284,18 +282,7 @@ let request_line ~id c =
 
 let eval_serve ~port c =
   let line = request_line ~id:1 c in
-  let expected =
-    match Proto.parse line with
-    | Error e -> harness_fail "fuzz: own request failed to parse: %s" e
-    | Ok req -> (
-        match req.Proto.body with
-        | `Admin _ -> harness_fail "fuzz: run request parsed as admin"
-        | `Query q -> (
-            match Handler.eval ~deadline_us:None q with
-            | Handler.Done fields -> Proto.ok_line ~id:req.Proto.id fields
-            | Handler.Failed (code, msg, extra) ->
-                Proto.error_line ~id:req.Proto.id ~extra code msg))
-  in
+  let expected = Scenario.expected_for line in
   match Rv_serve.Loadgen.rpc ~port line with
   | Error e -> harness_fail "fuzz: server rpc failed: %s" e
   | Ok reply ->

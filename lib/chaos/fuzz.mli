@@ -33,9 +33,6 @@ type cell = {
   c_parachute : bool;
 }
 
-val graph_spec : cell -> string
-(** ["<family>:<size>"]. *)
-
 val min_size : int
 (** Smallest size every family accepts — the shrinker's size floor. *)
 

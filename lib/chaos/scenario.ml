@@ -72,52 +72,26 @@ let poll ?(timeout_s = 10.) ~what probe =
 
 (* --- request builders and expected replies ------------------------------ *)
 
-let worst_line ~id ~graph ~algorithm ~space ~pairs ~max_delay =
-  Json.to_string
-    (Json.Obj
-       [
-         ("type", Json.Str "worst");
-         ("id", Json.Int id);
-         ("graph", Json.Str graph);
-         ("algorithm", Json.Str algorithm);
-         ("space", Json.Int space);
-         ("pairs", Json.Int pairs);
-         ("max_delay", Json.Int max_delay);
-       ])
-
-let run_line ~id ~graph ~algorithm ~space ~label_a ~label_b =
-  Json.to_string
-    (Json.Obj
-       [
-         ("type", Json.Str "run");
-         ("id", Json.Int id);
-         ("graph", Json.Str graph);
-         ("algorithm", Json.Str algorithm);
-         ("space", Json.Int space);
-         ("label_a", Json.Int label_a);
-         ("label_b", Json.Int label_b);
-       ])
-
 (* A cheap clean query, cycled for variety; ids keep replies attributable. *)
 let clean_line ~id k =
   match k mod 3 with
   | 0 ->
-      run_line ~id ~graph:"ring:8" ~algorithm:"cheap" ~space:8 ~label_a:1
-        ~label_b:2
+      Loadgen.run_line ~id ~graph:"ring:8" ~algorithm:"cheap" ~space:8
+        ~label_a:1 ~label_b:2
   | 1 ->
-      run_line ~id ~graph:"ring:10" ~algorithm:"fast" ~space:8 ~label_a:3
-        ~label_b:5
+      Loadgen.run_line ~id ~graph:"ring:10" ~algorithm:"fast" ~space:8
+        ~label_a:3 ~label_b:5
   | _ ->
-      worst_line ~id ~graph:"ring:6" ~algorithm:"cheap" ~space:8 ~pairs:3
-        ~max_delay:4
+      Loadgen.worst_line ~id ~graph:"ring:6" ~algorithm:"cheap" ~space:8
+        ~pairs:3 ~max_delay:4 ()
 
 (* A compute-bound query: the full sweep takes long enough (hundreds of
    ms) that a client can reliably disconnect, or a 1ms deadline reliably
    expire, while the server is still working.  [salt] keeps canonical
    keys distinct so the LRU cache cannot answer instead. *)
 let heavy_line ~id ~salt =
-  worst_line ~id ~graph:"ring:128" ~algorithm:"fast" ~space:64 ~pairs:24
-    ~max_delay:(256 + salt)
+  Loadgen.worst_line ~id ~graph:"ring:128" ~algorithm:"fast" ~space:64
+    ~pairs:24 ~max_delay:(256 + salt) ()
 
 (* Salts are only cache-defeating while their canonical keys are new,
    and both soak rotations and repeated CLI invocations revisit each
@@ -131,20 +105,19 @@ let heavy_line ~id ~salt =
    realistic soak. *)
 let salt_base c = c.ct_requests
 
-(* What the server must answer for [line]: parse and evaluate the exact
-   same bytes in-process and render through the same printer.  This is
-   the serve-path byte-identity contract doing double duty as a test
-   oracle. *)
+(* The serve-path byte-identity contract doing double duty as a test
+   oracle: evaluate the exact same bytes in-process and render through
+   the server's printers. *)
 let expected_for line =
   match Proto.parse line with
-  | Error e -> invalid_arg ("Scenario.expected_for: own line unparseable: " ^ e)
+  | Error e -> invalid_arg ("Scenario.expected_for: line unparseable: " ^ e)
   | Ok req -> (
       match req.Proto.body with
       | `Admin _ -> invalid_arg "Scenario.expected_for: admin line"
       | `Query q -> (
-          match Handler.eval ~deadline_us:None q with
-          | Handler.Done fields -> Proto.ok_line ~id:req.Proto.id fields
-          | Handler.Failed (code, msg, extra) ->
+          match Handler.eval_vals ~deadline_us:None q with
+          | Ok v -> Proto.ok_line ~id:req.Proto.id (Handler.fields_of_vals q v)
+          | Error (code, msg, extra) ->
               Proto.error_line ~id:req.Proto.id ~extra code msg))
 
 let code_of reply =

@@ -34,6 +34,12 @@ val run_all :
   ?only:string list -> host:string -> port:int -> seed:int -> unit ->
   (outcome list, string) result
 
+val expected_for : string -> string
+(** What the server must answer for a query line with no deadline:
+    the line parsed and evaluated in-process, rendered through the
+    server's success and error printers.  Raises [Invalid_argument] on
+    an unparseable or admin line. *)
+
 val contract : env -> (string, string) result
 (** The shared post-scenario assertion, exposed for the soak loop's
     final verdict.  [Ok detail] on success. *)

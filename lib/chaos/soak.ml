@@ -65,16 +65,13 @@ let post_warmup samples =
 
 let geti j name = Option.bind (Json.member name j) Json.to_int
 
-let run ?(sample_period_s = 1.0) ?(drift_frac = 0.25) ?scenarios ~host ~port
-    ~duration_s ~seed () =
+let run ?(sample_period_s = 1.0) ?(drift_frac = 0.25) ~host ~port ~duration_s
+    ~seed () =
   let env = { Scenario.host; port; seed } in
   (* Fail fast when there is no server to soak. *)
   match Loadgen.rpc ~host ~port {|{"type":"health"}|} with
   | Error e -> Error ("soak: server unreachable: " ^ e)
   | Ok _ ->
-      let scen_names =
-        match scenarios with None -> Scenario.names | Some l -> l
-      in
       let stop = Atomic.make false in
       (* Mutated only by the workload thread; read after the join. *)
       let clean_requests = ref 0 in
@@ -90,12 +87,9 @@ let run ?(sample_period_s = 1.0) ?(drift_frac = 0.25) ?scenarios ~host ~port
              with
             | Ok s -> clean_requests := !clean_requests + s.Loadgen.requests
             | Error e -> wl_failures := ("loadgen: " ^ e) :: !wl_failures);
-            let have_scenarios =
-              match scen_names with [] -> false | _ -> true
-            in
-            if (not (Atomic.get stop)) && have_scenarios then begin
+            if not (Atomic.get stop) then begin
               let name =
-                List.nth scen_names (iter mod List.length scen_names)
+                List.nth Scenario.names (iter mod List.length Scenario.names)
               in
               incr hostile_runs;
               match Scenario.run_one env name with

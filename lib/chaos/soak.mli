@@ -44,7 +44,6 @@ type report = {
 val run :
   ?sample_period_s:float ->
   ?drift_frac:float ->
-  ?scenarios:string list ->
   host:string ->
   port:int ->
   duration_s:float ->
@@ -53,8 +52,8 @@ val run :
   (report, string) result
 (** Soak for at least [duration_s] seconds ([Error] only when the
     server is unreachable at the start; everything after that is
-    reported in [r_failures]/[r_pass]).  [scenarios] restricts the
-    hostile rotation (default: the whole catalog). *)
+    reported in [r_failures]/[r_pass]).  The hostile rotation cycles
+    through the whole {!Scenario} catalog. *)
 
 val report_json : report -> Rv_obs.Json.t
 val print_report : out_channel -> report -> unit

@@ -9,5 +9,3 @@ let schedule_simultaneous ~label ~explorer =
   if label < 1 then invalid_arg "Cheap.schedule_simultaneous: labels are >= 1";
   let e = explorer.Ex.bound in
   [ Schedule.Pause ((label - 1) * e); Schedule.Explore explorer ]
-
-let instance ~label ~explorer = Schedule.to_instance (schedule ~label ~explorer)

@@ -19,6 +19,3 @@ val schedule : label:Label.t -> explorer:Rv_explore.Explorer.t -> Schedule.t
 val schedule_simultaneous : label:Label.t -> explorer:Rv_explore.Explorer.t -> Schedule.t
 (** The simultaneous-start schedule (correct only when both agents start in
     the same round). *)
-
-val instance : label:Label.t -> explorer:Rv_explore.Explorer.t -> Rv_explore.Explorer.instance
-(** [Schedule.to_instance (schedule ...)]. *)

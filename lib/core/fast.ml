@@ -12,5 +12,3 @@ let schedule ~label ~explorer = Schedule.blocks ~explorer (pattern ~label)
 
 let schedule_simultaneous ~label ~explorer =
   Schedule.blocks ~explorer (pattern_simultaneous ~label)
-
-let instance ~label ~explorer = Schedule.to_instance (schedule ~label ~explorer)

@@ -23,8 +23,6 @@ val schedule : label:Label.t -> explorer:Rv_explore.Explorer.t -> Schedule.t
 
 val schedule_simultaneous : label:Label.t -> explorer:Rv_explore.Explorer.t -> Schedule.t
 
-val instance : label:Label.t -> explorer:Rv_explore.Explorer.t -> Rv_explore.Explorer.instance
-
 val pattern_of_bits : Rv_util.Bitseq.t -> bool list
 (** The doubling-plus-leading-one construction [T] applied to an arbitrary
     bit string (used by [FastWithRelabeling], which feeds fixed-length

@@ -5,6 +5,3 @@ let schedule ~scheme ~label ~explorer =
 let schedule_simultaneous ~scheme ~label ~explorer =
   let s = Relabel.apply scheme label in
   Schedule.blocks ~explorer (Array.to_list s)
-
-let instance ~scheme ~label ~explorer =
-  Schedule.to_instance (schedule ~scheme ~label ~explorer)

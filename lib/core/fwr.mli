@@ -21,9 +21,3 @@ val schedule :
 
 val schedule_simultaneous :
   scheme:Relabel.scheme -> label:Label.t -> explorer:Rv_explore.Explorer.t -> Schedule.t
-
-val instance :
-  scheme:Relabel.scheme ->
-  label:Label.t ->
-  explorer:Rv_explore.Explorer.t ->
-  Rv_explore.Explorer.instance

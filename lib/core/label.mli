@@ -14,9 +14,6 @@ type t = int
 val check : space:int -> t -> unit
 (** Raises [Invalid_argument] unless [1 <= label <= space]. *)
 
-val binary : t -> Rv_util.Bitseq.t
-(** Binary representation, most significant bit first. *)
-
 val transform : t -> Rv_util.Bitseq.t
 (** [M(l)]: each bit doubled, then [0; 1] appended.  Length is
     [2 * bitlength l + 2]. *)

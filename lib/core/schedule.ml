@@ -87,10 +87,3 @@ let blocks ~explorer pattern =
     (fun active ->
       if active then Explore explorer else Pause explorer.Ex.bound)
     pattern
-
-let pp fmt t =
-  List.iter
-    (function
-      | Explore e -> Format.fprintf fmt "explore[%s,%d] " e.Ex.name e.Ex.bound
-      | Pause k -> Format.fprintf fmt "pause[%d] " k)
-    t

@@ -39,5 +39,3 @@ val blocks : explorer:Rv_explore.Explorer.t -> bool list -> t
     entry: [true] = [Explore explorer], [false] = [Pause explorer.bound].
     This is the "time segment [(i-1)E + 1 .. iE]" scheme of Algorithm
     [Fast]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -39,7 +39,7 @@ let uxs_explorer_family ~seed ~iterations =
     else begin
       let m = max 3 (1 lsl idx) in
       let corpus = Rv_explore.Uxs.default_corpus ~size_bound:m in
-      match Rv_explore.Uxs.construct ~corpus ~size_bound:m ~seed () with
+      match Rv_explore.Uxs.construct ~corpus ~size_bound:m ~seed with
       | Error e -> Error e
       | Ok u -> build (idx + 1) (Rv_explore.Uxs_walk.make u :: acc)
     end

@@ -23,7 +23,6 @@ let observe t ~time ~cost =
   Rv_obs.Histogram.atomic_max t.worst_cost cost
 
 let completed t = Atomic.get t.completed
-let total t = t.total
 let worst_time t = Atomic.get t.worst_time
 let worst_cost t = Atomic.get t.worst_cost
 (* rv_lint: allow R1 -- elapsed wall time drives the progress display only *)

@@ -20,7 +20,6 @@ val observe : t -> time:int -> cost:int -> unit
     counters (monotone atomic max). *)
 
 val completed : t -> int
-val total : t -> int
 val worst_time : t -> int
 val worst_cost : t -> int
 

@@ -26,7 +26,7 @@ let scenarios () =
     match
       Rv_explore.Uxs.construct
         ~corpus:(Rv_explore.Uxs.default_corpus ~size_bound:14)
-        ~size_bound:14 ~seed:2024 ()
+        ~size_bound:14 ~seed:2024
     with
     | Ok u -> u
     | Error e -> failwith e

@@ -215,7 +215,7 @@ let parse_explorer graph spec =
             let corpus = g :: Rv_explore.Uxs.default_corpus ~size_bound:m in
             Result.map
               (fun u -> any_start (Rv_explore.Uxs_walk.make u))
-              (Rv_explore.Uxs.construct ~corpus ~size_bound:m ~seed ()))
+              (Rv_explore.Uxs.construct ~corpus ~size_bound:m ~seed))
     | _ ->
         Error
           (Printf.sprintf "unknown explorer spec %S; accepted forms: %s" spec

@@ -7,9 +7,11 @@ let ilog2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
   go 0 n
 
-let default_length ~size_bound =
+let sequence_length ~size_bound =
   let m = max 2 size_bound in
   8 * m * m * max 1 (ilog2 (m + 1) + 1)
+
+let max_attempts = 64
 
 (* Replay the sequence, calling [visit] at each node reached; returns the
    1-based index of the step after which coverage completed, if any. *)
@@ -100,8 +102,8 @@ let default_corpus ~size_bound =
     [ 5; 7; 9; 11; 13; 16; 20; 24; 28; 32 ];
   List.filter (fun g -> Pg.n g <= m) !graphs
 
-let construct ?(max_attempts = 64) ?length ~corpus ~size_bound ~seed () =
-  let length = match length with Some l -> l | None -> default_length ~size_bound in
+let construct ~corpus ~size_bound ~seed =
+  let length = sequence_length ~size_bound in
   List.iter
     (fun g ->
       if Pg.n g > size_bound then

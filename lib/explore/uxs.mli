@@ -38,17 +38,9 @@ val default_corpus : size_bound:int -> Rv_graph.Port_graph.t list
     connected graphs. *)
 
 val construct :
-  ?max_attempts:int ->
-  ?length:int ->
-  corpus:Rv_graph.Port_graph.t list ->
-  size_bound:int ->
-  seed:int ->
-  unit ->
-  (t, string) result
+  corpus:Rv_graph.Port_graph.t list -> size_bound:int -> seed:int -> (t, string) result
 (** Deterministic search: candidate sequences are drawn from the seeded
     generator ([seed], [seed + 1], ...) and the first one covering the whole
-    corpus is returned.  Default [length] is [8 * m^2 * ceil(log2 (m + 1))]
-    (a polynomial budget mirroring the polynomial estimate [R(m)]); default
-    [max_attempts] is 64. *)
-
-val default_length : size_bound:int -> int
+    corpus is returned.  Every candidate has length
+    [8 * m^2 * ceil(log2 (m + 1))] (a polynomial budget mirroring the
+    polynomial estimate [R(m)]); the search gives up after 64 candidates. *)

@@ -10,9 +10,3 @@ let to_dot ?(name = "g") g =
     (Port_graph.edges g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file ?name ~path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?name g))

@@ -2,5 +2,3 @@
     port numbers at both endpoints ([pu:pv]). *)
 
 val to_dot : ?name:string -> Port_graph.t -> string
-
-val write_file : ?name:string -> path:string -> Port_graph.t -> unit

@@ -23,9 +23,11 @@ let check g cycle =
   in
   edges 0
 
-let find_brute_force ?(limit_n = 16) g =
+let brute_force_limit_n = 16
+
+let find_brute_force g =
   let n = Port_graph.n g in
-  if n > limit_n then invalid_arg "Hamilton.find_brute_force: graph too large";
+  if n > brute_force_limit_n then invalid_arg "Hamilton.find_brute_force: graph too large";
   let visited = Array.make n false in
   let path = Array.make n (-1) in
   let rec extend depth u =

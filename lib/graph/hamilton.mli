@@ -8,7 +8,6 @@ val check : Port_graph.t -> int list -> bool
 (** [check g cycle] holds iff [cycle] lists every node exactly once and
     consecutive nodes (cyclically) are adjacent in [g]. *)
 
-val find_brute_force : ?limit_n:int -> Port_graph.t -> int list option
+val find_brute_force : Port_graph.t -> int list option
 (** Backtracking search for a Hamiltonian cycle; intended for tests on small
-    graphs.  Raises [Invalid_argument] if [Port_graph.n g > limit_n]
-    (default 16). *)
+    graphs.  Raises [Invalid_argument] if [Port_graph.n g > 16]. *)

@@ -110,10 +110,3 @@ let relabel_ports rng t =
         row)
   in
   create ~n:t.n adj
-
-let pp fmt t =
-  for u = 0 to t.n - 1 do
-    Format.fprintf fmt "%d:" u;
-    Array.iteri (fun p (v, q) -> Format.fprintf fmt " %d->%d(%d)" p v q) t.adj.(u);
-    Format.pp_print_newline fmt ()
-  done

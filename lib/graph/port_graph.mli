@@ -59,6 +59,3 @@ val relabel_ports : Rv_util.Rng.t -> t -> t
 (** Randomly permute the port numbers at every node (preserving the
     underlying simple graph).  Used by tests to confirm that algorithms only
     depend on the port-labeled structure through legal observations. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug rendering: one line per node listing [port->node(entry)]. *)

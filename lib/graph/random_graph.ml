@@ -32,20 +32,6 @@ let connected rng ~n ~extra_edges =
   done;
   Build.of_edges ~n (tree @ List.rev !added)
 
-let gnp_connected rng ~n ~p =
-  if n < 2 then invalid_arg "Random_graph.gnp_connected: need n >= 2";
-  if p < 0.0 || p > 1.0 then invalid_arg "Random_graph.gnp_connected: bad p";
-  let tree = random_tree_edges rng n in
-  let present = Pair_set.of_list (List.map (fun (u, v) -> norm u v) tree) in
-  let added = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if (not (Pair_set.mem (u, v) present)) && Rng.float rng 1.0 < p then
-        added := (u, v) :: !added
-    done
-  done;
-  Build.of_edges ~n (tree @ List.rev !added)
-
 let regular_even rng ~n ~half_degree =
   if half_degree < 1 then invalid_arg "Random_graph.regular_even: need half_degree >= 1";
   if n < (2 * half_degree) + 1 then

@@ -8,11 +8,6 @@ val connected : Rv_util.Rng.t -> n:int -> extra_edges:int -> Port_graph.t
     [k <= extra_edges] is capped by the number of available node pairs.
     Raises [Invalid_argument] if [n < 2] or [extra_edges < 0]. *)
 
-val gnp_connected : Rv_util.Rng.t -> n:int -> p:float -> Port_graph.t
-(** Erdős–Rényi [G(n, p)] conditioned on connectivity by overlaying a random
-    spanning tree: every non-tree pair is added independently with
-    probability [p]. *)
-
 val regular_even : Rv_util.Rng.t -> n:int -> half_degree:int -> Port_graph.t
 (** A connected [2k]-regular graph ([k = half_degree >= 1]): a circulant
     skeleton (node [i] joined to [i +- j] for [j = 1..k]) under a random

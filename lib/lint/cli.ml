@@ -59,9 +59,8 @@ let write_file path contents =
 (* The one entry point both binaries share.  Exit codes: 0 clean (or
    nothing new vs the baseline), 1 findings, 2 usage/configuration
    error. *)
-let run ?(config = Config.default) ?(scope = "full") ?(typed = true)
-    ?(build_dir = None) ?(hotpaths = None) ?(baseline = None)
-    ?(write_baseline = None) ?(sarif = None) ~json ~rules ~paths () =
+let run ~scope ~typed ~build_dir ~hotpaths ~baseline ~write_baseline ~sarif
+    ~json ~rules ~paths =
   match rules with
   | Some "list" ->
       (* `--rules` with no value: print the catalog, succeed. *)
@@ -74,7 +73,9 @@ let run ?(config = Config.default) ?(scope = "full") ?(typed = true)
           2
       | Ok rules -> (
           let config =
-            match rules with None -> config | Some rs -> Config.with_rules config rs
+            match rules with
+            | None -> Config.default
+            | Some rs -> Config.with_rules Config.default rs
           in
           let default_scope =
             match scope with
@@ -267,7 +268,7 @@ let main paths json rules catalog_only scope no_typed build_dir hotpaths
   end
   else
     run ~scope ~typed:(not no_typed) ~build_dir ~hotpaths ~baseline
-      ~write_baseline ~sarif ~json ~rules ~paths ()
+      ~write_baseline ~sarif ~json ~rules ~paths
 
 let man =
   [

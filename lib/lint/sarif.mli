@@ -1,5 +1,4 @@
 (** SARIF 2.1.0 rendering of a lint report (CI artifact / code-scanning
     upload format). *)
 
-val report : Report.finding list -> Rv_obs.Json.t
 val to_string : Report.finding list -> string

@@ -17,13 +17,10 @@ type t = int array
 val check : t -> unit
 (** Raises [Invalid_argument] on entries outside [{-1, 0, 1}]. *)
 
-val of_instance : n:int -> rounds:int -> Rv_explore.Explorer.instance -> t
-(** Run the stepper solo on the oriented ring of size [n] for [rounds]
-    rounds (starting at node 0 — the result is start-independent) and
-    record its moves. *)
-
 val of_schedule : n:int -> Rv_core.Schedule.t -> t
-(** {!of_instance} over the schedule's full duration. *)
+(** Run the schedule solo on the oriented ring of size [n] for its full
+    duration (starting at node 0 — the result is start-independent) and
+    record its moves. *)
 
 val prefix_sums : t -> int array
 (** [prefix_sums v].(i) is the displacement after round [i+1]; length =

@@ -13,7 +13,7 @@ type report = {
   fact_3_8 : (unit, string) result;
 }
 
-let vectors_of_algorithm ~n ~space algorithm =
+let vectors_of ~n ~space algorithm =
   let explorer = Rv_explore.Ring_walk.clockwise ~n in
   Array.init space (fun i ->
       let label = i + 1 in
@@ -22,13 +22,11 @@ let vectors_of_algorithm ~n ~space algorithm =
       in
       (label, Behaviour.of_schedule ~n sched))
 
-let vectors_of ~n ~space algorithm = vectors_of_algorithm ~n ~space algorithm
-
 let cheap_sim_vectors ~n ~space =
-  vectors_of_algorithm ~n ~space Rv_core.Rendezvous.Cheap_simultaneous
+  vectors_of ~n ~space Rv_core.Rendezvous.Cheap_simultaneous
 
 let fast_sim_vectors ~n ~space =
-  vectors_of_algorithm ~n ~space Rv_core.Rendezvous.Fast_simultaneous
+  vectors_of ~n ~space Rv_core.Rendezvous.Fast_simultaneous
 
 let analyze ~n ~vectors =
   let labels = Array.map fst vectors in

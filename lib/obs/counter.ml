@@ -1,4 +1,4 @@
-type t = { name : string; value : int Atomic.t }
+type t = int Atomic.t
 
 let registry_mutex = Mutex.create ()
 
@@ -11,21 +11,20 @@ let find name =
     match Hashtbl.find_opt registry name with
     | Some c -> c
     | None ->
-        let c = { name; value = Atomic.make 0 } in
+        let c = Atomic.make 0 in
         Hashtbl.add registry name c;
         c
   in
   Mutex.unlock registry_mutex;
   c
 
-let add t k = ignore (Atomic.fetch_and_add t.value k)
+let add t k = ignore (Atomic.fetch_and_add t k)
 let count name k = if Obs.enabled () then add (find name) k
-let value t = Atomic.get t.value
-let name t = t.name
+let value t = Atomic.get t
 
 let all () =
   Mutex.lock registry_mutex;
-  let xs = Hashtbl.fold (fun name c acc -> (name, Atomic.get c.value) :: acc) registry [] in
+  let xs = Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) registry [] in
   Mutex.unlock registry_mutex;
   List.sort (fun (a, _) (b, _) -> String.compare a b) xs
 

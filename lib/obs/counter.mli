@@ -18,7 +18,6 @@ val count : string -> int -> unit
 (** [count name k]: no-op when disabled, else [add (find name) k]. *)
 
 val value : t -> int
-val name : t -> string
 
 val all : unit -> (string * int) list
 (** Every registered counter with its current value, sorted by name. *)

@@ -15,6 +15,4 @@ val to_json : unit -> Json.t
 (** The whole trace for the current event buffer
     ([events_json (Obs.events ())]). *)
 
-val write : out_channel -> unit
-
 val write_file : string -> unit

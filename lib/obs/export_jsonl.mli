@@ -12,8 +12,6 @@
 
     [round] fields are omitted when no logical round was set. *)
 
-val event_json : Obs.event -> Json.t
-
 val lines : unit -> string list
 (** The full stream for the current buffer and registries: all events in
     timestamp order, then counters, then histograms. *)

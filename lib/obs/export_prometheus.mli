@@ -21,7 +21,3 @@ val render : family list -> string
 val single : ?labels:(string * string) list -> string -> string -> typ -> float -> family
 (** [single name help typ v] is a one-sample family — convenience for
     plain counters and gauges. *)
-
-val value_string : float -> string
-(** Prometheus sample-value rendering: integers without a decimal point,
-    [+Inf]/[-Inf]/[NaN] spelled the Prometheus way. *)

@@ -34,19 +34,6 @@ let diff ~before ~after =
     top_heap_words = after.top_heap_words;
   }
 
-let to_json t =
-  Json.Obj
-    [
-      ("minor_words", Json.Float t.minor_words);
-      ("promoted_words", Json.Float t.promoted_words);
-      ("major_words", Json.Float t.major_words);
-      ("minor_collections", Json.Int t.minor_collections);
-      ("major_collections", Json.Int t.major_collections);
-      ("compactions", Json.Int t.compactions);
-      ("heap_words", Json.Int t.heap_words);
-      ("top_heap_words", Json.Int t.top_heap_words);
-    ]
-
 let to_string t =
   Printf.sprintf
     "  minor words       %14.0f\n\

@@ -19,6 +19,5 @@ val diff : before:t -> after:t -> t
 (** Word and collection counters subtract; [heap_words]/[top_heap_words]
     keep the [after] values (they are levels, not flows). *)
 
-val to_json : t -> Json.t
 val to_string : t -> string
 (** Multi-line human rendering, one stat per line. *)

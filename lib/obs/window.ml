@@ -6,7 +6,7 @@ type slot = {
   s_max : int Atomic.t;
 }
 
-type t = { name : string; slots : slot array }
+type t = { slots : slot array }
 
 type stats = {
   w_count : int;
@@ -26,9 +26,8 @@ let max_horizon_s = 300
    seconds never wraps onto a slot that is still inside the horizon. *)
 let default_slots = max_horizon_s + 30
 
-let create ?(slots = default_slots) name =
+let create ?(slots = default_slots) () =
   {
-    name;
     slots =
       Array.init (max slots (max_horizon_s + 2)) (fun _ ->
           {
@@ -39,8 +38,6 @@ let create ?(slots = default_slots) name =
             s_max = Atomic.make 0;
           });
   }
-
-let name t = t.name
 
 let observe t ~now_s v =
   let now_s = max 0 now_s in

@@ -34,14 +34,10 @@ type stats = {
 
 val empty_stats : stats
 
-val max_horizon_s : int
-(** Largest supported horizon with the default ring (300 s). *)
-
-val create : ?slots:int -> string -> t
-(** [create name] makes a window whose ring covers {!max_horizon_s} plus
-    slack; [?slots] overrides the ring size (floored to a safe minimum). *)
-
-val name : t -> string
+val create : ?slots:int -> unit -> t
+(** [create ()] makes a window whose ring covers the largest supported
+    horizon (300 s) plus slack; [?slots] overrides the ring size (floored
+    to a safe minimum). *)
 
 val observe : t -> now_s:int -> int -> unit
 (** Record value [v] in the slot for second [now_s].  Unconditional. *)

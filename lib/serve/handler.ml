@@ -36,10 +36,6 @@ type run_vals = {
 
 type vals = Worst_vals of worst_vals | Run_vals of run_vals
 
-type outcome =
-  | Done of (string * Json.t) list
-  | Failed of Proto.code * string * (string * Json.t) list
-
 let past_deadline = function
   | None -> false
   | Some d -> Clock.now_us () > d
@@ -305,8 +301,3 @@ let eval_vals ?pool ~deadline_us (q : Proto.query) =
   with
   | Invalid_argument msg -> Error (Proto.Bad_request, msg, [])
   | exn -> Error (Proto.Internal, Printexc.to_string exn, [])
-
-let eval ?pool ~deadline_us (q : Proto.query) =
-  match eval_vals ?pool ~deadline_us q with
-  | Ok v -> Done (fields_of_vals q v)
-  | Error (code, msg, extra) -> Failed (code, msg, extra)

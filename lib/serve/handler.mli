@@ -49,12 +49,6 @@ type run_vals = {
 
 type vals = Worst_vals of worst_vals | Run_vals of run_vals
 
-type outcome =
-  | Done of (string * Rv_obs.Json.t) list
-      (** cacheable success fields, starting with [("status", Str "ok")] *)
-  | Failed of Proto.code * string * (string * Rv_obs.Json.t) list
-      (** error code, message, structured extras (never cached) *)
-
 val eval_vals :
   ?pool:Rv_engine.Pool.t ->
   deadline_us:float option ->
@@ -67,16 +61,9 @@ val fields_of_vals : Proto.query -> vals -> (string * Rv_obs.Json.t) list
     and vals kinds disagree (callers decode with {!vals_of_values},
     which already rules that out). *)
 
-val values_width : int
-(** Integers per index record (13). *)
-
 val values_of_vals : vals -> int array
-(** Encode for an index record; always [values_width] long. *)
+(** Encode for an index record; always 13 integers long. *)
 
 val vals_of_values : Proto.query -> int array -> vals option
 (** Decode an index record against the query shape; [None] on width or
     kind-tag mismatch (caller falls back to computing). *)
-
-val eval :
-  ?pool:Rv_engine.Pool.t -> deadline_us:float option -> Proto.query -> outcome
-(** [eval_vals] composed with [fields_of_vals].  Never raises. *)

@@ -48,17 +48,21 @@ type summary = {
 
 (* --- request generation ------------------------------------------------- *)
 
-let worst_line ~id ~graph ~algorithm ~space ~pairs =
+let worst_line ?max_delay ~id ~graph ~algorithm ~space ~pairs () =
   Json.to_string
     (Json.Obj
-       [
-         ("type", Json.Str "worst");
-         ("id", Json.Int id);
-         ("graph", Json.Str graph);
-         ("algorithm", Json.Str algorithm);
-         ("space", Json.Int space);
-         ("pairs", Json.Int pairs);
-       ])
+       ([
+          ("type", Json.Str "worst");
+          ("id", Json.Int id);
+          ("graph", Json.Str graph);
+          ("algorithm", Json.Str algorithm);
+          ("space", Json.Int space);
+          ("pairs", Json.Int pairs);
+        ]
+       @
+       match max_delay with
+       | None -> []
+       | Some d -> [ ("max_delay", Json.Int d) ]))
 
 let run_line ~id ~graph ~algorithm ~space ~label_a ~label_b =
   Json.to_string
@@ -77,11 +81,11 @@ let run_line ~id ~graph ~algorithm ~space ~label_a ~label_b =
    after one lap every reply is a cache hit. *)
 let cached_line ~id k =
   match k mod 6 with
-  | 0 -> worst_line ~id ~graph:"ring:6" ~algorithm:"cheap" ~space:8 ~pairs:4
-  | 1 -> worst_line ~id ~graph:"ring:8" ~algorithm:"fast-sim" ~space:8 ~pairs:4
+  | 0 -> worst_line ~id ~graph:"ring:6" ~algorithm:"cheap" ~space:8 ~pairs:4 ()
+  | 1 -> worst_line ~id ~graph:"ring:8" ~algorithm:"fast-sim" ~space:8 ~pairs:4 ()
   | 2 -> run_line ~id ~graph:"ring:8" ~algorithm:"cheap" ~space:8 ~label_a:1 ~label_b:2
   | 3 -> run_line ~id ~graph:"ring:10" ~algorithm:"fast" ~space:8 ~label_a:3 ~label_b:5
-  | 4 -> worst_line ~id ~graph:"path:6" ~algorithm:"cheap" ~space:8 ~pairs:4
+  | 4 -> worst_line ~id ~graph:"path:6" ~algorithm:"cheap" ~space:8 ~pairs:4 ()
   | _ -> run_line ~id ~graph:"star:5" ~algorithm:"cheap" ~space:8 ~label_a:2 ~label_b:7
 
 (* The index mix cycles the 8 worst-case cells of the lattice above
@@ -92,7 +96,7 @@ let index_line ~id k =
   let algorithms = [| "cheap"; "fast" |] in
   worst_line ~id ~graph:graphs.(k mod 4)
     ~algorithm:algorithms.(k / 4 mod 2)
-    ~space:8 ~pairs:4
+    ~space:8 ~pairs:4 ()
 
 (* Every heavy request is a distinct compute-bound question: label pairs
    walk the space so the canonical keys never repeat within a run. *)

@@ -20,6 +20,22 @@ type mix =
 
 val mix_of_string : string -> (mix, string) result
 
+val worst_line :
+  ?max_delay:int ->
+  id:int ->
+  graph:string ->
+  algorithm:string ->
+  space:int ->
+  pairs:int ->
+  unit ->
+  string
+(** A [worst] request line; the [max_delay] field is written only when
+    given, so the server applies its protocol default otherwise. *)
+
+val run_line :
+  id:int -> graph:string -> algorithm:string -> space:int -> label_a:int -> label_b:int -> string
+(** A [run] request line with the default explorer, starts and delays. *)
+
 (** The bake lattice matching the [Index] mix: pass these five strings
     to [rv bake] (or {!Rv_index.Lattice.of_args}) and every request the
     mix generates is pre-answered. *)

@@ -11,7 +11,7 @@
 
     Records carry the request's stage breakdown (from {!Rspan}) with
     stage times relative to receive, which makes them portable: the
-    ["obs"] admin probe serves them as JSON ({!to_fields}), and
+    ["obs"] admin probe serves them as JSON ({!to_json}), and
     [rv obs dump --chrome] rebuilds them ({!of_json}) into a Chrome
     trace ({!chrome_json}) with one lane per request — a stage
     waterfall under Perfetto. *)
@@ -19,7 +19,6 @@
 type flag = Healthy | Slow | Shed | Errored | Index_fallback
 
 val flag_to_string : flag -> string
-val flag_of_string : string -> flag option
 
 type record = {
   rr_id : int;  (** request id (per-server, monotone) *)
@@ -49,12 +48,8 @@ val records : ?last:int -> t -> record list
 val counts : t -> int * int * int * int
 (** [(healthy, flagged, evicted_healthy, evicted_flagged)]. *)
 
-val to_fields : record -> (string * Rv_obs.Json.t) list
 val to_json : record -> Rv_obs.Json.t
 val of_json : Rv_obs.Json.t -> record option
-
-val chrome_events : record list -> Rv_obs.Obs.event list * (int * string) list
-(** Synthetic span events (one lane per request) plus lane names. *)
 
 val chrome_json : record list -> Rv_obs.Json.t
 (** Complete Chrome trace document for the records. *)

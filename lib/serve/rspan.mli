@@ -18,8 +18,6 @@
 
 type t
 
-val max_stages : int
-
 val create : id:int -> recv_us:float -> ?enabled:bool -> unit -> t
 (** [enabled] mirrors the server's telemetry flag (default true). *)
 
@@ -43,10 +41,6 @@ val set_path : t -> string -> unit
 val deadline_us : t -> float option
 val set_deadline_us : t -> float -> unit
 (** Absolute deadline, for the slow-request classification (>budget/2). *)
-
-val tracing : t -> bool
-(** Whether stages are being recorded ([enabled || debug]) — lets a hot
-    path skip taking a timestamp it would only feed to a no-op. *)
 
 val stage_begin : ?now_us:float -> t -> string -> unit
 val stage_end : ?now_us:float -> t -> string -> unit

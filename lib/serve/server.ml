@@ -150,7 +150,6 @@ type t = {
 }
 
 let port t = t.srv_port
-let recorder t = t.recorder
 
 let bump ?(by = 1) t slot =
   ignore (Atomic.fetch_and_add t.counts.(slot) by);
@@ -1071,9 +1070,7 @@ let start cfg =
         List.concat_map
           (fun kind ->
             List.map
-              (fun path ->
-                let name = "serve.latency." ^ kind ^ ":" ^ path in
-                (kind, path, Window.create name))
+              (fun path -> (kind, path, Window.create ()))
               [ "index"; "cache"; "sim"; "shed"; "error" ])
           [ "worst"; "run" ];
       recorder = Recorder.create ~cap:cfg.recorder_cap ();

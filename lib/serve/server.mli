@@ -93,9 +93,6 @@ val reload_index : t -> (unit, string) result
     displaced reader finish against the old mapping — a swap is never
     observable mid-request. *)
 
-val recorder : t -> Recorder.t
-(** The live anomaly flight recorder (what the ["obs"] probe serves). *)
-
 val version_fields : unit -> (string * Rv_obs.Json.t) list
 (** The [version] admin reply's build-identity fields — also what
     [rv version] prints (dune-embedded {!Build_meta}, index format

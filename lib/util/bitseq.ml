@@ -23,16 +23,12 @@ let of_string s =
 let to_string bits =
   String.init (Array.length bits) (fun i -> if bits.(i) then '1' else '0')
 
-let length = Array.length
-
 let is_prefix p s =
   let lp = Array.length p in
   lp <= Array.length s
   &&
   let rec check i = i >= lp || (p.(i) = s.(i) && check (i + 1)) in
   check 0
-
-let equal a b = a = b
 
 let compare_lex a b =
   let la = Array.length a and lb = Array.length b in

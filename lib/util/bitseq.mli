@@ -20,12 +20,8 @@ val of_string : string -> t
 val to_string : t -> string
 (** Renders as a string of ['0']/['1'] characters. *)
 
-val length : t -> int
-
 val is_prefix : t -> t -> bool
 (** [is_prefix p s] is true iff [p] is a (non-strict) prefix of [s]. *)
-
-val equal : t -> t -> bool
 
 val compare_lex : t -> t -> int
 (** Lexicographic comparison; on equal-length strings this is numeric

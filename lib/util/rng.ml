@@ -43,8 +43,6 @@ let int_in t lo hi =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let float t bound = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.0 *. bound
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

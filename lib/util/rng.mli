@@ -34,9 +34,6 @@ val int_in : t -> int -> int -> int
 val bool : t -> bool
 (** Fair coin. *)
 
-val float : t -> float -> float
-(** [float t bound] is uniform in [0, bound). *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

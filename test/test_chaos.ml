@@ -8,6 +8,9 @@ module Fuzz = Rv_chaos.Fuzz
 module Shrink = Rv_chaos.Shrink
 module Soak = Rv_chaos.Soak
 module Scrape = Rv_chaos.Scrape
+module Scenario = Rv_chaos.Scenario
+module Loadgen = Rv_serve.Loadgen
+module Server = Rv_serve.Server
 module Rng = Rv_util.Rng
 
 let tc name f = Alcotest.test_case name `Quick f
@@ -353,6 +356,40 @@ let test_replay_committed_fixtures () =
       end)
     entries
 
+(* --- the in-process serve oracle ----------------------------------------- *)
+
+(* A live server's reply must be the bytes [Scenario.expected_for]
+   renders in process, error replies included: a label outside the
+   space and a [file:] graph are bad requests on both sides. *)
+let test_oracle_matches_served () =
+  let server = Server.start Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let port = Server.port server in
+  List.iter
+    (fun (what, code, line) ->
+      let reply = ok (Loadgen.rpc ~port line) in
+      Alcotest.(check string) what (Scenario.expected_for line) reply;
+      let served_code =
+        match Rv_obs.Json.parse reply with
+        | Ok j -> Option.bind (Rv_obs.Json.member "code" j) Rv_obs.Json.to_str
+        | Error e -> Alcotest.failf "%s: unparseable reply: %s" what e
+      in
+      Alcotest.(check (option string)) (what ^ ": error code") code served_code)
+    [
+      ( "clean run",
+        None,
+        Loadgen.run_line ~id:1 ~graph:"ring:8" ~algorithm:"cheap" ~space:8 ~label_a:1
+          ~label_b:2 );
+      ( "label outside the space",
+        Some "bad_request",
+        Loadgen.run_line ~id:2 ~graph:"ring:8" ~algorithm:"cheap" ~space:8 ~label_a:9
+          ~label_b:2 );
+      ( "worst on a file: graph",
+        Some "bad_request",
+        Loadgen.worst_line ~id:3 ~graph:"file:ring8.graph" ~algorithm:"cheap" ~space:8
+          ~pairs:2 () );
+    ]
+
 let () =
   Alcotest.run "rv_chaos"
     [
@@ -367,6 +404,7 @@ let () =
           tc "flat classification" test_flat_classification;
         ] );
       ("scrape", [ tc "prometheus exposition parser" test_scrape_parse ]);
+      ("oracle", [ tc "served replies match the in-process oracle" test_oracle_matches_served ]);
       ( "fuzz",
         [
           tc "cell to-string/of-kv roundtrip" test_cell_roundtrip;

@@ -224,14 +224,14 @@ let small_corpus = lazy (Rv_explore.Uxs.default_corpus ~size_bound:10)
 let small_uxs =
   lazy
     (match
-       Rv_explore.Uxs.construct ~corpus:(Lazy.force small_corpus) ~size_bound:10 ~seed:5 ()
+       Rv_explore.Uxs.construct ~corpus:(Lazy.force small_corpus) ~size_bound:10 ~seed:5
      with
     | Ok u -> u
     | Error e -> failwith e)
 
 let test_uxs_deterministic () =
   let build () =
-    Rv_explore.Uxs.construct ~corpus:(Lazy.force small_corpus) ~size_bound:10 ~seed:5 ()
+    Rv_explore.Uxs.construct ~corpus:(Lazy.force small_corpus) ~size_bound:10 ~seed:5
   in
   match (build (), build ()) with
   | Ok a, Ok b ->
@@ -266,7 +266,7 @@ let test_uxs_corpus_size_check () =
   match
     Rv_explore.Uxs.construct
       ~corpus:[ Rv_graph.Ring.oriented 12 ]
-      ~size_bound:10 ~seed:0 ()
+      ~size_bound:10 ~seed:0
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized corpus graph accepted"

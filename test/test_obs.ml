@@ -685,7 +685,7 @@ let test_window_vs_offline () =
      on every stream. *)
   List.iter
     (fun seed ->
-      let w = Window.create "t" in
+      let w = Window.create () in
       let values = stream ~seed 500 in
       List.iteri
         (fun i v -> Window.observe w ~now_s:(1000 + (i mod 5)) v)
@@ -697,7 +697,7 @@ let test_window_vs_offline () =
     [ 1; 7; 42; 12345 ]
 
 let test_window_horizons () =
-  let w = Window.create "t" in
+  let w = Window.create () in
   let old_batch = stream ~seed:3 100 and new_batch = stream ~seed:9 50 in
   List.iter (fun v -> Window.observe w ~now_s:100 v) old_batch;
   List.iter (fun v -> Window.observe w ~now_s:105 v) new_batch;
@@ -723,7 +723,7 @@ let test_window_horizons () =
     old_batch
 
 let test_window_empty () =
-  let w = Window.create "t" in
+  let w = Window.create () in
   Alcotest.(check bool) "empty stats" true
     (Window.stats w ~now_s:50 ~horizon_s:60 = Window.empty_stats);
   Window.observe w ~now_s:50 7;
@@ -733,7 +733,7 @@ let test_window_empty () =
 let test_window_wrap () =
   (* Reusing a slot a full ring-rotation later must clear the old
      second's samples rather than merge them. *)
-  let w = Window.create ~slots:330 "t" in
+  let w = Window.create ~slots:330 () in
   List.iter (fun v -> Window.observe w ~now_s:10 v) (stream ~seed:5 40);
   let fresh = stream ~seed:11 30 in
   List.iter (fun v -> Window.observe w ~now_s:(10 + 330) v) fresh;
@@ -744,8 +744,8 @@ let test_window_wrap () =
 let test_window_stats_many () =
   (* Splitting a stream across windows and merging with stats_many must
      equal observing everything in one window. *)
-  let parts = [ Window.create "a"; Window.create "b"; Window.create "c" ] in
-  let whole = Window.create "whole" in
+  let parts = [ Window.create (); Window.create (); Window.create () ] in
+  let whole = Window.create () in
   let values = stream ~seed:77 300 in
   List.iteri
     (fun i v ->
